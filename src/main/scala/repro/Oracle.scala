@@ -14,6 +14,10 @@ import scala.jdk.CollectionConverters._
   * Alias every output column identically on both sides (Spark names
   * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
   * to scalar columns — array/map/struct are not comparable here.
+  *
+  * Doubles compare exactly: both sides are formatted with
+  * ``java.lang.Double.toString``, which round-trips every bit. Round a
+  * column on both sides in the query when an exact compare is not wanted.
   */
 object Oracle {
 
@@ -24,9 +28,9 @@ object Oracle {
       .map(r => idx.map { i =>
         r.get(i) match {
           case null                 => "∅"
-          case d: Double            => f"$d%.6f"
-          case f: Float             => f"${f.toDouble}%.6f"
-          case bd: java.math.BigDecimal => f"${bd.doubleValue}%.6f"
+          case d: Double            => java.lang.Double.toString(d)
+          case f: Float             => java.lang.Double.toString(f.toDouble)
+          case bd: java.math.BigDecimal => java.lang.Double.toString(bd.doubleValue)
           case x                    => x.toString
         }
       })

@@ -101,10 +101,6 @@ final case class ChainSpec(
     firstBlock + idx
   }
 
-  /** Number of sliding windows (paper Eq. 5): L = ⌊(S − N)/M⌋ + 1. */
-  def numSliding(n: Long, m: Long): Long =
-    if (blockCount < n) 0L else (blockCount - n) / m + 1L
-
   /** A test-scale copy: same regimes/anomalies/time span, `f`× the blocks and
     * sliding-window sizes. Anomaly blocks stay at the same days because they
     * are specified by (day, frac).

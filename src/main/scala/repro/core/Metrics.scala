@@ -1,88 +1,55 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types._
 
-/** The paper's three decentralization metrics as Catalyst aggregations.
-  *
-  * All functions consume a *window counts* frame with columns
-  * `(window_id: Long, miner: String, cnt: Long)` — one row per producer per
-  * window — and return one row per `window_id`.
+/** The paper's three decentralization metrics, computed per window by one
+  * kernel over the window's per-producer block counts, sorted once.
   *
   * Numeric notes:
-  *   - Gini stays in integer arithmetic until a single final double division,
-  *     so the result is bit-identical to any other engine using the same rank
-  *     formula (the DuckDB oracle compares it exactly).
-  *   - The Nakamoto 51% threshold test is integer-exact (`cum·100 ≥ tot·51`).
-  *   - Entropy uses `p·log₂(1/p)` (not `−p·log₂ p`) so a single-producer
-  *     window yields +0.0 rather than −0.0.
+  *   - Gini (Eq. 1) uses the rank formula `G = (2·Σ rank·x − (n+1)·Σx) / (n·Σx)`
+  *     over ascending counts and stays in `Long` arithmetic until a single
+  *     final division, so it is bit-identical to any other engine using the
+  *     same formula (the DuckDB oracle compares it exactly).
+  *   - Entropy (Eq. 2–3) uses `p·log₂(1/p)` (not `−p·log₂ p`) so a
+  *     single-producer window yields +0.0 rather than −0.0.
+  *   - Nakamoto (Eq. 4) adds counts largest first until the integer-exact
+  *     test `cum·100 ≥ tot·51` holds. Tied producers share a count, so no
+  *     tie-break is needed.
   */
 object Metrics {
 
-  private val W = "window_id"
+  /** Nakamoto threshold: the share (in percent) a coalition must reach. */
+  private val MajorityPct = 51L
 
-  /** Gini coefficient per window (paper Eq. 1) via the rank formula
-    * `G = (2·Σ rank·x − (n+1)·Σx) / (n·Σx)` with ranks ascending by
-    * (cnt, miner). Ties are rank-order invariant because tied entries share
-    * the same count.
+  private val Ln2 = math.log(2.0)
+
+  // Not `private`: Spark's generated encoder code cannot reach a private class.
+  private[core] final case class WindowMetrics(
+      producers: Long, attributions: Long, gini: Double, entropy: Double, nakamoto: Int)
+
+  private val kernel = udf { (counts: Seq[Long]) =>
+    val xs = counts.toArray
+    java.util.Arrays.sort(xs)
+    val n   = xs.length.toLong
+    val tot = xs.sum
+    val s1  = xs.indices.iterator.map(i => (i + 1L) * xs(i)).sum
+    val gini    = (2L * s1 - (n + 1L) * tot).toDouble / (n * tot).toDouble
+    val entropy = xs.iterator.map { x => val p = x.toDouble / tot; p * (math.log(1.0 / p) / Ln2) }.sum
+    var cum = 0L
+    var k   = 0
+    while (cum * 100L < tot * MajorityPct) { cum += xs(xs.length - 1 - k); k += 1 }
+    WindowMetrics(n, tot, gini, entropy, k)
+  }
+
+  /** All three metrics plus window population stats from a window-counts
+    * frame `(window_id: Long, miner: String, cnt: Long)` (one row per producer
+    * per window): `(window_id, producers, attributions, gini, entropy,
+    * nakamoto)`, one row per window.
     */
-  def gini(counts: DataFrame): DataFrame = {
-    val byAsc = Window.partitionBy(W).orderBy(col("cnt").asc, col("miner").asc)
+  def all(counts: DataFrame): DataFrame =
     counts
-      .withColumn("rk", row_number().over(byAsc))
-      .groupBy(W)
-      .agg(
-        count(lit(1)).as("n"),
-        sum("cnt").as("tot"),
-        sum(col("rk").cast(LongType) * col("cnt")).as("s1"),
-      )
-      .select(
-        col(W),
-        ((lit(2L) * col("s1") - (col("n") + lit(1L)) * col("tot")).cast(DoubleType) /
-          (col("n") * col("tot")).cast(DoubleType)).as("gini"),
-      )
-  }
-
-  /** Shannon entropy (bits) per window (paper Eq. 2–3). */
-  def entropy(counts: DataFrame): DataFrame = {
-    val perWindow = Window.partitionBy(W)
-    counts
-      .withColumn("p", col("cnt").cast(DoubleType) / sum("cnt").over(perWindow).cast(DoubleType))
-      .groupBy(W)
-      .agg(sum(col("p") * log2(lit(1.0) / col("p"))).as("entropy"))
-  }
-
-  /** Nakamoto coefficient per window (paper Eq. 4): rank producers by
-    * descending count (miner name breaks ties) and take the first rank whose
-    * cumulative count reaches `thresholdPct`% of the window total.
-    */
-  def nakamoto(counts: DataFrame, thresholdPct: Int = 51): DataFrame = {
-    require(thresholdPct >= 1 && thresholdPct <= 100, s"bad threshold $thresholdPct")
-    val byDesc = Window.partitionBy(W).orderBy(col("cnt").desc, col("miner").asc)
-    counts
-      .withColumn("rk", row_number().over(byDesc))
-      .withColumn(
-        "cum",
-        sum("cnt").over(byDesc.rowsBetween(Window.unboundedPreceding, Window.currentRow)),
-      )
-      .withColumn("tot", sum("cnt").over(Window.partitionBy(W)))
-      .where(col("cum") * lit(100L) >= col("tot") * lit(thresholdPct.toLong))
-      .groupBy(W)
-      .agg(min("rk").as("nakamoto"))
-  }
-
-  /** All three metrics plus window population stats:
-    * `(window_id, producers, attributions, gini, entropy, nakamoto)`.
-    */
-  def all(counts: DataFrame, thresholdPct: Int = 51): DataFrame = {
-    val base = counts
-      .groupBy(W)
-      .agg(count(lit(1)).as("producers"), sum("cnt").as("attributions"))
-    base
-      .join(gini(counts), Seq(W))
-      .join(entropy(counts), Seq(W))
-      .join(nakamoto(counts, thresholdPct), Seq(W))
-  }
+      .groupBy("window_id")
+      .agg(kernel(collect_list("cnt")).as("m"))
+      .select("window_id", "m.producers", "m.attributions", "m.gini", "m.entropy", "m.nakamoto")
 }

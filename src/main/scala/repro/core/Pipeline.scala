@@ -29,19 +29,19 @@ object Pipeline {
     series(SlidingWindows.counts(attrib, n, step, spec.blockCount))
   }
 
-  /** Summary statistics of a metric series: one row per metric with
-    * `(metric, mean, stddev, min, max, windows)`.
+  /** Summary statistics of a metric series: one row per metric (gini,
+    * entropy, nakamoto, in that order) with
+    * `(metric, mean, stddev, min, max, windows)`, from a single aggregation.
     */
-  def summary(s: DataFrame): DataFrame =
-    Seq("gini", "entropy", "nakamoto")
-      .map { mcol =>
-        s.agg(
-          avg(col(mcol)).as("mean"),
-          stddev_samp(col(mcol).cast("double")).as("stddev"),
-          min(col(mcol).cast("double")).as("min"),
-          max(col(mcol).cast("double")).as("max"),
-          count(lit(1)).as("windows"),
-        ).select(lit(mcol).as("metric"), col("mean"), col("stddev"), col("min"), col("max"), col("windows"))
-      }
-      .reduce(_ unionByName _)
+  def summary(s: DataFrame): DataFrame = {
+    val metrics = Seq("gini", "entropy", "nakamoto")
+    val stats = metrics.flatMap { m =>
+      val x = col(m).cast("double")
+      Seq(avg(col(m)).as(s"${m}_mean"), stddev_samp(x).as(s"${m}_stddev"),
+          min(x).as(s"${m}_min"), max(x).as(s"${m}_max"))
+    }
+    val rows = metrics.map(m => s"'$m', ${m}_mean, ${m}_stddev, ${m}_min, ${m}_max").mkString(", ")
+    s.agg(count(lit(1)).as("windows"), stats: _*)
+      .select(expr(s"stack(${metrics.size}, $rows) AS (metric, mean, stddev, min, max)"), col("windows"))
+  }
 }

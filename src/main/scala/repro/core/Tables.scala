@@ -80,22 +80,26 @@ object Tables {
     )
     val spark = attrib.sparkSession
     import spark.implicits._
-    val rows = for {
-      (label, g, n) <- modes
-      fixedS   = Pipeline.fixed(attrib, g).cache()
-      slidingS = Pipeline.sliding(attrib, spec, n).cache()
-      metric <- Seq("gini", "entropy", "nakamoto")
-    } yield (
-      spec.name,
-      label,
-      metric,
-      fixedS.count(),
-      Anomaly.countExtremes(fixedS, metric, z),
-      slidingS.count(),
-      Anomaly.countExtremes(slidingS, metric, z),
-    )
-    rows.toDF("chain", "granularity", "metric",
-              "results_fixed", "extremes_fixed", "results_sliding", "extremes_sliding")
+    val series = modes.map { case (label, g, n) =>
+      (label, Pipeline.fixed(attrib, g).cache(), Pipeline.sliding(attrib, spec, n).cache())
+    }
+    // The report rows are local, so the cached series can go once they exist.
+    try {
+      val rows = for {
+        (label, fixedS, slidingS) <- series
+        metric <- Seq("gini", "entropy", "nakamoto")
+      } yield (
+        spec.name,
+        label,
+        metric,
+        fixedS.count(),
+        Anomaly.countExtremes(fixedS, metric, z),
+        slidingS.count(),
+        Anomaly.countExtremes(slidingS, metric, z),
+      )
+      rows.toDF("chain", "granularity", "metric",
+                "results_fixed", "extremes_fixed", "results_sliding", "extremes_sliding")
+    } finally series.foreach { case (_, fixedS, slidingS) => fixedS.unpersist(); slidingS.unpersist() }
   }
 
   /** T6 — the day-14 Bitcoin case study (paper §II-C-1d): daily metrics for

@@ -57,11 +57,22 @@ class OracleSpec extends SparkSpec {
       "t" -> withNull)
   }
 
-  test("double canonicalization is stable at 6 decimals") {
+  test("double canonicalization is round-trip exact") {
     import spark.implicits._
     val d = Seq((1L, 0.1 + 0.2)).toDF("id", "x") // 0.30000000000000004
     Oracle.assertEquivalent(d,
       "SELECT CAST(id AS BIGINT) AS id, CAST(x AS DOUBLE) AS x FROM t",
       "t" -> d)
+  }
+
+  test("rejects doubles that differ in the last bit") {
+    import spark.implicits._
+    val d = Seq((1L, 0.1 + 0.2)).toDF("id", "x")
+    val e = intercept[IllegalArgumentException] {
+      Oracle.assertEquivalent(d,
+        "SELECT CAST(id AS BIGINT) AS id, CAST(0.3 AS DOUBLE) AS x FROM t",
+        "t" -> d)
+    }
+    assert(e.getMessage.contains("result mismatch"))
   }
 }

@@ -3,7 +3,6 @@ package repro.chain
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
-import repro.SynthData
 
 /** The synthetic-chain generator: determinism, schema, calendar columns,
   * regime boundaries, share calibration and anomaly injection.
@@ -130,11 +129,6 @@ class BlockGeneratorSpec extends SparkSpec {
     val h1Top = ea.where(col("day") <= 181 && col("miner") === "Ethermine").count().toDouble /
       ea.where(col("day") <= 181).count()
     assert(math.abs(h1Top - 0.28) < 0.02, s"got $h1Top")
-  }
-
-  test("SynthData.blockAttributions delegates to the generator") {
-    val viaSynth = SynthData.blockAttributions(spark, spec, seed = 42L)
-    assert(viaSynth.exceptAll(attrib).count() === 0L)
   }
 
   test("monthOfDay rejects out-of-range days") {

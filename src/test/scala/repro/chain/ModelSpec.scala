@@ -74,12 +74,6 @@ class ModelSpec extends AnyFunSuite {
     assert(s.blockAtDay(365, 0.999) === s.firstBlock + s.blockCount - 1)
   }
 
-  test("numSliding implements Eq. 5") {
-    val s = ChainParams.btc2019
-    assert(s.numSliding(144L, 72L) === 752L)
-    assert(s.numSliding(s.blockCount + 1, 1L) === 0L)
-  }
-
   test("scaled() shrinks blocks and window sizes but keeps the year span") {
     val s = ChainParams.btc2019.scaled(0.1)
     assert(s.blockCount === 5423L)

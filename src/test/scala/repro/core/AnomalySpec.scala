@@ -69,18 +69,18 @@ class AnomalySpec extends SparkSpec {
 
     // Fixed weekly windows: the burst is split across weeks 2 and 3; each week
     // still has 5 normal days, so the attacker holds 2/7 ≈ 29% — under 51%.
-    val weekly = Metrics.nakamoto(
+    val weekly = Metrics.all(
       attrib.groupBy(col("week").cast("long").as("window_id"), col("miner"))
         .agg(count(lit(1)).as("cnt")))
-    val weeklyValues = weekly.collect().map(_.getInt(1)).toSeq
+    val weeklyValues = weekly.select("nakamoto").collect().map(_.getInt(0)).toSeq
     assert(!weeklyValues.contains(1), s"fixed weekly hid the burst: $weeklyValues")
 
     // Sliding weekly windows (N=336, M=168): one window spans days 8–14 or
     // 11–17 region aligned to the burst → attacker ≥ 51% → Nakamoto = 1.
     val total = 28L * blocksPerDay
-    val sliding = Metrics.nakamoto(
+    val sliding = Metrics.all(
       SlidingWindows.counts(attrib, n = 7L * blocksPerDay, m = 7L * blocksPerDay / 2, total))
-    val slidingValues = sliding.collect().map(_.getInt(1)).toSeq
+    val slidingValues = sliding.select("nakamoto").collect().map(_.getInt(0)).toSeq
     assert(slidingValues.contains(1), s"sliding missed the burst: $slidingValues")
   }
 

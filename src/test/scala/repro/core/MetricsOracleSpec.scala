@@ -5,9 +5,9 @@ import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.chain.{BlockGenerator, ChainParams}
 
-/** DuckDB SQL mirrors of the metric aggregations, compared row-exactly.
-  * Gini and Nakamoto stay in integer arithmetic until a single division, so
-  * they compare bit-exact; entropy is compared at 3 decimals.
+/** DuckDB SQL mirrors of the metric kernel, compared row-exactly. Gini and
+  * Nakamoto stay in integer arithmetic until a single division, so they
+  * compare bit-exact; entropy is rounded to 3 decimals on both sides.
   */
 class MetricsOracleSpec extends SparkSpec {
 
@@ -15,10 +15,11 @@ class MetricsOracleSpec extends SparkSpec {
   private lazy val counts: DataFrame =
     FixedWindows.counts(
       BlockGenerator.attributions(spark, spec, seed = 11L), FixedWindows.Weekly).cache()
+  private lazy val metrics: DataFrame = Metrics.all(counts).cache()
 
   test("oracle: gini matches DuckDB rank-formula SQL bit-exactly") {
     Oracle.assertEquivalent(
-      Metrics.gini(counts),
+      metrics.select("window_id", "gini"),
       """WITH c AS (
         |  SELECT CAST(window_id AS BIGINT) AS w, miner, CAST(cnt AS BIGINT) AS cnt
         |  FROM counts
@@ -37,7 +38,7 @@ class MetricsOracleSpec extends SparkSpec {
 
   test("oracle: nakamoto matches DuckDB cumulative-share SQL exactly") {
     Oracle.assertEquivalent(
-      Metrics.nakamoto(counts),
+      metrics.select("window_id", "nakamoto"),
       """WITH c AS (
         |  SELECT CAST(window_id AS BIGINT) AS w, miner, CAST(cnt AS BIGINT) AS cnt
         |  FROM counts
@@ -57,7 +58,7 @@ class MetricsOracleSpec extends SparkSpec {
 
   test("oracle: entropy matches DuckDB at 3 decimals") {
     Oracle.assertEquivalent(
-      Metrics.entropy(counts).select(col("window_id"), round(col("entropy"), 3).as("entropy")),
+      metrics.select(col("window_id"), round(col("entropy"), 3).as("entropy")),
       """WITH c AS (
         |  SELECT CAST(window_id AS BIGINT) AS w, miner, CAST(cnt AS DOUBLE) AS cnt
         |  FROM counts
@@ -71,34 +72,12 @@ class MetricsOracleSpec extends SparkSpec {
   }
 
   test("oracle: per-window population stats match DuckDB") {
-    val base = counts.groupBy("window_id")
-      .agg(count(lit(1)).as("producers"), sum("cnt").as("attributions"))
     Oracle.assertEquivalent(
-      base,
+      metrics.select("window_id", "producers", "attributions"),
       """SELECT CAST(window_id AS BIGINT) AS window_id,
         |       COUNT(*) AS producers,
         |       SUM(CAST(cnt AS BIGINT)) AS attributions
         |FROM counts GROUP BY 1""".stripMargin,
-      "counts" -> counts,
-    )
-  }
-
-  test("oracle: nakamoto at a 90% threshold also matches") {
-    Oracle.assertEquivalent(
-      Metrics.nakamoto(counts, thresholdPct = 90),
-      """WITH c AS (
-        |  SELECT CAST(window_id AS BIGINT) AS w, miner, CAST(cnt AS BIGINT) AS cnt
-        |  FROM counts
-        |), r AS (
-        |  SELECT w, cnt,
-        |         ROW_NUMBER() OVER (PARTITION BY w ORDER BY cnt DESC, miner ASC) AS rk,
-        |         SUM(cnt) OVER (PARTITION BY w ORDER BY cnt DESC, miner ASC
-        |                        ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) AS cum,
-        |         SUM(cnt) OVER (PARTITION BY w) AS tot
-        |  FROM c
-        |)
-        |SELECT w AS window_id, MIN(rk) AS nakamoto
-        |FROM r WHERE cum * 100 >= tot * 90 GROUP BY w""".stripMargin,
       "counts" -> counts,
     )
   }

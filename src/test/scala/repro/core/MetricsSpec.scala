@@ -4,7 +4,7 @@ import org.apache.spark.sql.DataFrame
 import org.scalacheck.{Gen, Prop}
 import repro.{PropertyCheck, SparkSpec}
 
-/** Spark metric aggregations vs the local reference implementation, on
+/** The Spark metric kernel vs the local reference implementation, on
   * hand-built window-count frames.
   */
 class MetricsSpec extends SparkSpec with PropertyCheck {
@@ -25,6 +25,10 @@ class MetricsSpec extends SparkSpec with PropertyCheck {
         case x         => fail(s"unexpected type $x")
       })).toMap
 
+  /** One metric column of `Metrics.all` over the given windows. */
+  private def metric(windows: Map[Long, Seq[Long]], col: String): Map[Long, Double] =
+    collectMetric(Metrics.all(countsDf(windows)), col)
+
   private val sample = Map(
     1L -> Seq(5L, 5L, 5L, 5L),
     2L -> Seq(1L, 3L),
@@ -34,54 +38,47 @@ class MetricsSpec extends SparkSpec with PropertyCheck {
   )
 
   test("gini matches local reference on hand-built windows") {
-    val got = collectMetric(Metrics.gini(countsDf(sample)), "gini")
+    val got = metric(sample, "gini")
     for ((w, xs) <- sample)
-      assert(math.abs(got(w) - LocalMetrics.gini(xs)) < 1e-12, s"window $w")
+      assert(got(w) === LocalMetrics.gini(xs), s"window $w")
   }
 
   test("entropy matches local reference on hand-built windows") {
-    val got = collectMetric(Metrics.entropy(countsDf(sample)), "entropy")
+    val got = metric(sample, "entropy")
     for ((w, xs) <- sample)
       assert(math.abs(got(w) - LocalMetrics.entropy(xs)) < 1e-9, s"window $w")
   }
 
   test("nakamoto matches local reference on hand-built windows") {
-    val got = collectMetric(Metrics.nakamoto(countsDf(sample)), "nakamoto")
+    val got = metric(sample, "nakamoto")
     for ((w, xs) <- sample)
       assert(got(w).toInt === LocalMetrics.nakamoto(xs), s"window $w")
   }
 
   test("gini of even split is 0 and of [1,3] is 0.25 (spot values)") {
-    val got = collectMetric(Metrics.gini(countsDf(sample)), "gini")
-    assert(math.abs(got(1L)) < 1e-12)
-    assert(math.abs(got(2L) - 0.25) < 1e-12)
+    val got = metric(sample, "gini")
+    assert(got(1L) === 0.0)
+    assert(got(2L) === 0.25)
     assert(got(5L) === 0.0)
   }
 
   test("entropy of a single-producer window is +0.0 (not -0.0)") {
-    val got = collectMetric(Metrics.entropy(countsDf(sample)), "entropy")
+    val got = metric(sample, "entropy")
     assert(got(5L) === 0.0)
     assert(1.0 / got(5L) === Double.PositiveInfinity)
   }
 
   test("nakamoto spot values: majority=1, even-2=2") {
-    val got = collectMetric(Metrics.nakamoto(countsDf(sample)), "nakamoto")
+    val got = metric(sample, "nakamoto")
     assert(got(3L) === 1.0)
     assert(got(5L) === 1.0)
-  }
-
-  test("nakamoto honors custom threshold column-wide") {
-    val got = collectMetric(Metrics.nakamoto(countsDf(sample), thresholdPct = 90), "nakamoto")
-    for ((w, xs) <- sample)
-      assert(got(w).toInt === LocalMetrics.nakamoto(xs, thresholdPct = 90), s"window $w")
   }
 
   test("metrics are independent across windows (adding a window changes nothing)") {
     val base  = Map(1L -> Seq(3L, 9L, 1L))
     val extra = base + (2L -> Seq(100L, 1L))
-    val g1 = collectMetric(Metrics.gini(countsDf(base)), "gini")(1L)
-    val g2 = collectMetric(Metrics.gini(countsDf(extra)), "gini")(1L)
-    assert(g1 === g2)
+    for (c <- Seq("gini", "entropy", "nakamoto"))
+      assert(metric(base, c)(1L) === metric(extra, c)(1L), c)
   }
 
   test("all() returns every metric plus population stats, one row per window") {
@@ -95,15 +92,20 @@ class MetricsSpec extends SparkSpec with PropertyCheck {
   }
 
   test("property: spark metrics equal local metrics on random windows") {
-    val gen = Gen.nonEmptyListOf(Gen.chooseNum(1L, 200L)).map(_.take(20))
-    checkProp(Prop.forAll(gen) { xs =>
-      val df = countsDf(Map(0L -> xs))
-      val g  = collectMetric(Metrics.gini(df), "gini")(0L)
-      val e  = collectMetric(Metrics.entropy(df), "entropy")(0L)
-      val n  = collectMetric(Metrics.nakamoto(df), "nakamoto")(0L)
-      math.abs(g - LocalMetrics.gini(xs)) < 1e-12 &&
-        math.abs(e - LocalMetrics.entropy(xs)) < 1e-9 &&
-        n.toInt == LocalMetrics.nakamoto(xs)
+    val window = Gen.nonEmptyListOf(Gen.chooseNum(1L, 200L)).map(_.take(20))
+    val frame  = Gen.choose(1, 6).flatMap(k => Gen.listOfN(k, window))
+      .map(_.zipWithIndex.map { case (xs, w) => w.toLong -> xs }.toMap)
+    checkProp(Prop.forAll(frame) { windows =>
+      val rows = Metrics.all(countsDf(windows)).collect()
+        .map(r => r.getLong(r.fieldIndex("window_id")) -> r).toMap
+      rows.keySet == windows.keySet && windows.forall { case (w, xs) =>
+        val r = rows(w)
+        r.getLong(r.fieldIndex("producers")) == xs.size &&
+          r.getLong(r.fieldIndex("attributions")) == xs.sum &&
+          r.getDouble(r.fieldIndex("gini")) == LocalMetrics.gini(xs) &&
+          math.abs(r.getDouble(r.fieldIndex("entropy")) - LocalMetrics.entropy(xs)) < 1e-9 &&
+          r.getInt(r.fieldIndex("nakamoto")) == LocalMetrics.nakamoto(xs)
+      }
     }, minSuccessful = 20)
   }
 }

@@ -66,6 +66,14 @@ class TablesSpec extends SparkSpec {
     assert(t5.count() === 9L)
   }
 
+  test("T5 revealSummary leaves no cached series behind") {
+    // Its own seed, so no series plan is already cached by another test.
+    val attrib = BlockGenerator.attributions(spark, bSpec, 23L)
+    val before = spark.sparkContext.getPersistentRDDs.size
+    Tables.revealSummary(bSpec, attrib).collect()
+    assert(spark.sparkContext.getPersistentRDDs.size === before)
+  }
+
   test("T6 day14Case: day 14 stands out from the daily mean") {
     val t6   = Tables.day14Case(bAttrib)
     val rows = t6.collect().map(r => r.getString(0) -> r).toMap
