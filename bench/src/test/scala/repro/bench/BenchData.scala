@@ -1,7 +1,8 @@
 package repro.bench
 
 import java.io.{File, PrintWriter}
-import org.apache.spark.sql.DataFrame
+import scala.collection.mutable
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.SparkSpec
 import repro.chain.{BlockGenerator, ChainParams, ChainSpec}
 
@@ -15,23 +16,17 @@ object BenchData {
   val btcSpec: ChainSpec = ChainParams.btc2019
   val ethSpec: ChainSpec = ChainParams.eth2019
 
-  private var btcCache: Option[DataFrame] = None
-  private var ethCache: Option[DataFrame] = None
+  private val cache = mutable.Map.empty[ChainSpec, DataFrame]
 
-  def btc(spark: org.apache.spark.sql.SparkSession): DataFrame = synchronized {
-    btcCache.getOrElse {
-      val df = BlockGenerator.attributions(spark, btcSpec, seed = 2019L).cache()
-      df.count() // materialize
-      btcCache = Some(df); df
-    }
-  }
-
-  def eth(spark: org.apache.spark.sql.SparkSession): DataFrame = synchronized {
-    ethCache.getOrElse {
-      val df = BlockGenerator.attributions(spark, ethSpec, seed = 2019L).cache()
+  /** The chain's attribution table, generated (seed 2019), cached and
+    * materialized on first use.
+    */
+  def attrib(spark: SparkSession, spec: ChainSpec): DataFrame = synchronized {
+    cache.getOrElseUpdate(spec, {
+      val df = BlockGenerator.attributions(spark, spec, seed = 2019L).cache()
       df.count()
-      ethCache = Some(df); df
-    }
+      df
+    })
   }
 
   /** Repo root: the forked bench JVM starts in bench/, so walk up to the
@@ -56,6 +51,6 @@ object BenchData {
 
 /** Base trait for bench suites: the shared SparkSession plus report helpers. */
 trait BenchSpec extends SparkSpec {
-  def btcAttrib: DataFrame = BenchData.btc(spark)
-  def ethAttrib: DataFrame = BenchData.eth(spark)
+  def btcAttrib: DataFrame = BenchData.attrib(spark, BenchData.btcSpec)
+  def ethAttrib: DataFrame = BenchData.attrib(spark, BenchData.ethSpec)
 }

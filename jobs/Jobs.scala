@@ -1,15 +1,12 @@
 package repro.jobs
 
+import scala.collection.mutable
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.chain.{BlockGenerator, ChainParams, ChainSpec}
 import repro.core.Tables
 import repro.util.Render
 
-/** Shared spark-submit plumbing for the per-table entrypoints.
-  *
-  * Every job accepts an optional first argument: a scale factor in (0, 1]
-  * applied to both chains (default 1.0 = the paper's full 2019 scale).
-  */
+/** Spark session and argument plumbing of the entry point. */
 object Jobs {
   def session(app: String): SparkSession =
     SparkSession.builder
@@ -18,116 +15,57 @@ object Jobs {
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .getOrCreate()
 
-  /** The scale factor of the first argument, 1.0 when there is none. */
-  def scaleOf(args: Array[String]): Double =
-    args.headOption.fold(1.0) { a =>
-      a.toDoubleOption.filter(f => f > 0.0 && f <= 1.0).getOrElse(throw new IllegalArgumentException(
-        s"bad scale '$a': usage: <job> [scale], with scale a number in (0, 1] (default 1.0)"))
+  /** The scale factor given by `arg`, 1.0 when there is none. */
+  def scaleOf(arg: Option[String]): Double =
+    arg.fold(1.0) { a =>
+      a.toDoubleOption.filter(f => f > 0.0 && f <= 1.0)
+        .getOrElse(throw new IllegalArgumentException(s"bad scale '$a': ${Run.usage}"))
     }
-
-  /** Runs `body` with a session and the scale of `args`; the scale is
-    * checked before the session starts, and the session stops either way.
-    */
-  def run(app: String, args: Array[String])(body: (SparkSession, Double) => Unit): Unit = {
-    val f     = scaleOf(args)
-    val spark = session(app)
-    try body(spark, f) finally spark.stop()
-  }
-
-  def spec(base: ChainSpec, scale: Double): ChainSpec =
-    if (scale >= 1.0) base else base.scaled(scale)
-
-  def emit(title: String, df: DataFrame): Unit = {
-    println(s"\n== $title")
-    println(Render.table(df))
-  }
 }
 
-/** T1 — dataset summary (paper §II-A). */
-object T1Dataset {
-  def main(args: Array[String]): Unit = Jobs.run("t1-dataset", args) { (spark, f) =>
-    val chains = Seq(Jobs.spec(ChainParams.btc2019, f), Jobs.spec(ChainParams.eth2019, f))
-      .map(s => s -> BlockGenerator.attributions(spark, s))
-    Jobs.emit("T1 dataset summary", Tables.t1Dataset(chains))
-  }
-}
+/** The one entry point: `Run <T1..T7|all> [scale]` renders the named report
+  * table, or all of them in order, with both chains scaled by a factor in
+  * (0, 1] (default 1.0 = the paper's full 2019 scale). Each chain a run reads
+  * is generated and cached once.
+  */
+object Run {
+  val usage = "usage: Run <T1..T7|all> [scale], with scale a number in (0, 1] (default 1.0)"
 
-/** T2 — Bitcoin fixed-window metric summary (paper Figs. 1–3). */
-object T2FixedBitcoin {
-  def main(args: Array[String]): Unit = Jobs.run("t2-fixed-btc", args) { (spark, f) =>
-    val s = Jobs.spec(ChainParams.btc2019, f)
-    Jobs.emit("T2 Bitcoin fixed windows",
-      Tables.fixedSummary(s.name, BlockGenerator.attributions(spark, s)))
-  }
-}
+  /** A run's chains: base spec → (scaled spec, attribution table). */
+  type Chains = ChainSpec => (ChainSpec, DataFrame)
 
-/** T3 — Ethereum fixed-window metric summary (paper Figs. 4–6). */
-object T3FixedEthereum {
-  def main(args: Array[String]): Unit = Jobs.run("t3-fixed-eth", args) { (spark, f) =>
-    val s = Jobs.spec(ChainParams.eth2019, f)
-    Jobs.emit("T3 Ethereum fixed windows",
-      Tables.fixedSummary(s.name, BlockGenerator.attributions(spark, s)))
-  }
-}
+  private val (btc, eth) = (ChainParams.btc2019, ChainParams.eth2019)
 
-/** T4 — sliding-window averages and result counts (paper §III-B, Eq. 5). */
-object T4SlidingAverages {
-  def main(args: Array[String]): Unit = Jobs.run("t4-sliding", args) { (spark, f) =>
-    for (base <- Seq(ChainParams.btc2019, ChainParams.eth2019)) {
-      val s = Jobs.spec(base, f)
-      Jobs.emit(s"T4 sliding windows — ${s.name}",
-        Tables.slidingSummary(s, BlockGenerator.attributions(spark, s)))
-    }
-  }
-}
+  private def perChain(title: String, build: (ChainSpec, DataFrame) => DataFrame)(c: Chains) =
+    Seq(btc, eth).map(c).map { case (s, a) => s"$title — ${s.name}" -> build(s, a) }
 
-/** T5 — extremes revealed by sliding vs fixed windows (paper Figs. 9/13). */
-object T5AnomalyReveal {
-  def main(args: Array[String]): Unit = Jobs.run("t5-reveal", args) { (spark, f) =>
-    for (base <- Seq(ChainParams.btc2019, ChainParams.eth2019)) {
-      val s = Jobs.spec(base, f)
-      Jobs.emit(s"T5 fixed vs sliding extremes — ${s.name}",
-        Tables.revealSummary(s, BlockGenerator.attributions(spark, s)))
-    }
-  }
-}
+  /** Report tables (DESIGN.md §4) in order: name → titled outputs. */
+  val tables: Seq[(String, Chains => Seq[(String, DataFrame)])] = Seq(
+    "T1" -> (c => Seq("T1 dataset summary" -> Tables.t1Dataset(Seq(c(btc), c(eth))))),
+    "T2" -> (c => Seq("T2 Bitcoin fixed windows" -> Tables.fixedSummary(btc.name, c(btc)._2))),
+    "T3" -> (c => Seq("T3 Ethereum fixed windows" -> Tables.fixedSummary(eth.name, c(eth)._2))),
+    "T4" -> perChain("T4 sliding windows", Tables.slidingSummary),
+    "T5" -> perChain("T5 fixed vs sliding extremes", Tables.revealSummary(_, _)),
+    "T6" -> (c => Seq("T6 Bitcoin day-14 case study" -> Tables.day14Case(c(btc)._2))),
+    "T7" -> (c => Seq("T7 Bitcoin vs Ethereum" -> Tables.comparison(c(btc)._2, c(eth)._2))),
+  )
 
-/** T6 — the day-14 Bitcoin anomaly case study (paper §II-C-1d). */
-object T6Day14Case {
-  def main(args: Array[String]): Unit = Jobs.run("t6-day14", args) { (spark, f) =>
-    val s = Jobs.spec(ChainParams.btc2019, f)
-    Jobs.emit("T6 Bitcoin day-14 case study",
-      Tables.day14Case(BlockGenerator.attributions(spark, s)))
+  /** The tables and scale `args` ask for; throws a usage error otherwise. */
+  def parse(args: Array[String]): (Seq[(String, Chains => Seq[(String, DataFrame)])], Double) = {
+    val selected = tables.filter(t => args.headOption.exists(a => a == t._1 || a == "all"))
+    require(selected.nonEmpty && args.length <= 2, s"bad arguments '${args.mkString(" ")}': $usage")
+    (selected, Jobs.scaleOf(args.lift(1)))
   }
-}
 
-/** T7 — Bitcoin vs Ethereum comparison (paper §II-C-3). */
-object T7Comparison {
-  def main(args: Array[String]): Unit = Jobs.run("t7-compare", args) { (spark, f) =>
-    val b = Jobs.spec(ChainParams.btc2019, f)
-    val e = Jobs.spec(ChainParams.eth2019, f)
-    Jobs.emit("T7 Bitcoin vs Ethereum",
-      Tables.comparison(
-        BlockGenerator.attributions(spark, b),
-        BlockGenerator.attributions(spark, e)))
-  }
-}
-
-/** All tables in one run (convenience entrypoint). */
-object RunAll {
-  def main(args: Array[String]): Unit = Jobs.run("run-all", args) { (spark, f) =>
-    val b = Jobs.spec(ChainParams.btc2019, f)
-    val e = Jobs.spec(ChainParams.eth2019, f)
-    val ba = BlockGenerator.attributions(spark, b).cache()
-    val ea = BlockGenerator.attributions(spark, e).cache()
-    Jobs.emit("T1 dataset summary", Tables.t1Dataset(Seq(b -> ba, e -> ea)))
-    Jobs.emit("T2 Bitcoin fixed windows", Tables.fixedSummary(b.name, ba))
-    Jobs.emit("T3 Ethereum fixed windows", Tables.fixedSummary(e.name, ea))
-    Jobs.emit("T4 sliding — bitcoin", Tables.slidingSummary(b, ba))
-    Jobs.emit("T4 sliding — ethereum", Tables.slidingSummary(e, ea))
-    Jobs.emit("T5 reveal — bitcoin", Tables.revealSummary(b, ba))
-    Jobs.emit("T5 reveal — ethereum", Tables.revealSummary(e, ea))
-    Jobs.emit("T6 day-14 case study", Tables.day14Case(ba))
-    Jobs.emit("T7 comparison", Tables.comparison(ba, ea))
+  def main(args: Array[String]): Unit = {
+    val (selected, scale) = parse(args)
+    val spark = Jobs.session(s"run-${args.head}")
+    val cache = mutable.Map.empty[ChainSpec, (ChainSpec, DataFrame)]
+    val chains: Chains = base => cache.getOrElseUpdate(base, {
+      val s = base.scaled(scale)
+      s -> BlockGenerator.attributions(spark, s).cache()
+    })
+    try for ((_, outputs) <- selected; (title, df) <- outputs(chains)) println(s"\n== $title\n${Render.table(df)}")
+    finally spark.stop()
   }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 /** Extreme-value detection over metric series — formalizes the paper's §III-B
@@ -11,28 +12,36 @@ import org.apache.spark.sql.functions._
   */
 object Anomaly {
 
+  /** The z-test of `metric` in each window: its z-score against the whole
+    * series where it lies more than `z` sample stddevs from the mean, else null.
+    */
+  private def extremeZ(metric: String, z: Double): Column = {
+    require(z > 0, s"bad z threshold $z")
+    val x     = col(metric).cast("double")
+    val mu    = avg(x).over(Window.partitionBy())
+    val sigma = stddev_samp(x).over(Window.partitionBy())
+    when(sigma > 0 && abs(x - mu) > sigma * lit(z), (x - mu) / sigma)
+  }
+
   /** Windows whose `metric` value is more than `z` standard deviations from
     * the series mean. Returns `(window_id, value, zscore)`.
     */
-  def extremes(series: DataFrame, metric: String, z: Double = 2.0): DataFrame = {
-    require(z > 0, s"bad z threshold $z")
-    val stats = series.agg(
-      avg(col(metric).cast("double")).as("mu"),
-      stddev_samp(col(metric).cast("double")).as("sigma"),
-    )
+  def extremes(series: DataFrame, metric: String, z: Double = 2.0): DataFrame =
     series
-      .select(col("window_id"), col(metric).cast("double").as("value"))
-      .crossJoin(stats)
-      .where(col("sigma") > 0 && abs(col("value") - col("mu")) > col("sigma") * lit(z))
-      .select(
-        col("window_id"),
-        col("value"),
-        ((col("value") - col("mu")) / col("sigma")).as("zscore"),
-      )
+      .select(col("window_id"), col(metric).cast("double").as("value"), extremeZ(metric, z).as("zscore"))
+      .where(col("zscore").isNotNull)
       .orderBy("window_id")
-  }
 
   /** Number of extreme windows for a metric. */
   def countExtremes(series: DataFrame, metric: String, z: Double = 2.0): Long =
     extremes(series, metric, z).count()
+
+  /** One row for the whole series: `results` (its number of windows) and,
+    * per metric column (gini, entropy, nakamoto), its number of extreme
+    * windows.
+    */
+  def extremeCounts(series: DataFrame, z: Double = 2.0): DataFrame =
+    series
+      .select(Metrics.names.map(m => extremeZ(m, z).as(m)): _*)
+      .agg(count(lit(1)).as("results"), Metrics.names.map(m => count(col(m)).as(m)): _*)
 }

@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
+import repro.chain.ChainSpec
 
 /** Fixed (non-overlapping calendar) measurement windows — the paper's
   * baseline windowing mode (§II-C): daily, weekly and monthly buckets of the
@@ -10,11 +11,13 @@ import org.apache.spark.sql.types._
   */
 object FixedWindows {
 
-  /** A calendar granularity backed by a precomputed attribution column. */
-  sealed abstract class Granularity(val name: String, val column: String)
-  case object Daily   extends Granularity("day", "day")
-  case object Weekly  extends Granularity("week", "week")
-  case object Monthly extends Granularity("month", "month")
+  /** A calendar granularity backed by a precomputed attribution column, and
+    * the chain's sliding-window size `N` (in blocks) for the same span.
+    */
+  sealed abstract class Granularity(val name: String, val column: String, val slidingSize: ChainSpec => Long)
+  case object Daily   extends Granularity("day", "day", _.slidingDay)
+  case object Weekly  extends Granularity("week", "week", _.slidingWeek)
+  case object Monthly extends Granularity("month", "month", _.slidingMonth)
 
   val all: Seq[Granularity] = Seq(Daily, Weekly, Monthly)
 

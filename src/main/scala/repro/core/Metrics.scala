@@ -19,6 +19,9 @@ import org.apache.spark.sql.functions._
   */
 object Metrics {
 
+  /** The metric columns of a series, in report order. */
+  val names: Seq[String] = Seq("gini", "entropy", "nakamoto")
+
   /** Nakamoto threshold: the share (in percent) a coalition must reach. */
   private val MajorityPct = 51L
 

@@ -21,27 +21,26 @@ object Pipeline {
   def fixed(attrib: DataFrame, g: FixedWindows.Granularity): DataFrame =
     series(FixedWindows.counts(attrib, g))
 
-  /** Sliding-window series for window size `n`; the paper's step `M = N/2`
-    * is the default.
-    */
-  def sliding(attrib: DataFrame, spec: ChainSpec, n: Long, m: Long = 0L): DataFrame = {
-    val step = if (m > 0) m else math.max(1L, n / 2)
-    series(SlidingWindows.counts(attrib, n, step, spec.blockCount))
-  }
+  /** Sliding-window series for window size `n` and step `m`. */
+  def sliding(attrib: DataFrame, spec: ChainSpec, n: Long, m: Long): DataFrame =
+    series(SlidingWindows.counts(attrib, n, m, spec.blockCount))
+
+  /** Sliding-window series for window size `n` with the paper's step. */
+  def sliding(attrib: DataFrame, spec: ChainSpec, n: Long): DataFrame =
+    sliding(attrib, spec, n, SlidingWindows.paperStep(n))
 
   /** Summary statistics of a metric series: one row per metric (gini,
     * entropy, nakamoto, in that order) with
     * `(metric, mean, stddev, min, max, windows)`, from a single aggregation.
     */
   def summary(s: DataFrame): DataFrame = {
-    val metrics = Seq("gini", "entropy", "nakamoto")
-    val stats = metrics.flatMap { m =>
+    val stats = Metrics.names.flatMap { m =>
       val x = col(m).cast("double")
       Seq(avg(col(m)).as(s"${m}_mean"), stddev_samp(x).as(s"${m}_stddev"),
           min(x).as(s"${m}_min"), max(x).as(s"${m}_max"))
     }
-    val rows = metrics.map(m => s"'$m', ${m}_mean, ${m}_stddev, ${m}_min, ${m}_max").mkString(", ")
+    val rows = Metrics.names.map(m => s"'$m', ${m}_mean, ${m}_stddev, ${m}_min, ${m}_max").mkString(", ")
     s.agg(count(lit(1)).as("windows"), stats: _*)
-      .select(expr(s"stack(${metrics.size}, $rows) AS (metric, mean, stddev, min, max)"), col("windows"))
+      .select(expr(s"stack(${Metrics.names.size}, $rows) AS (metric, mean, stddev, min, max)"), col("windows"))
   }
 }

@@ -15,6 +15,9 @@ import org.apache.spark.sql.types._
   */
 object SlidingWindows {
 
+  /** The paper's step for window size `n`: `M = N/2` (at least one block). */
+  def paperStep(n: Long): Long = math.max(1L, n / 2)
+
   /** Number of windows (paper Eq. 5). */
   def numWindows(totalBlocks: Long, n: Long, m: Long): Long = {
     require(n > 0 && m > 0, s"bad window/step ($n, $m)")

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.chain.ChainSpec
 
@@ -42,20 +42,19 @@ object Tables {
   /** T4 — sliding-window summary (paper §III-B in-text averages and Eq. 5
     * result counts): per chain and window size, L plus each metric's mean.
     */
-  def slidingSummary(spec: ChainSpec, attrib: DataFrame): DataFrame = {
-    val sizes = Seq(("day", spec.slidingDay), ("week", spec.slidingWeek), ("month", spec.slidingMonth))
-    sizes
-      .map { case (label, n) =>
-        val m = math.max(1L, n / 2)
-        val s = Pipeline.sliding(attrib, spec, n, m)
-        s.agg(
+  def slidingSummary(spec: ChainSpec, attrib: DataFrame): DataFrame =
+    FixedWindows.all
+      .map { g =>
+        val n = g.slidingSize(spec)
+        val m = SlidingWindows.paperStep(n)
+        Pipeline.sliding(attrib, spec, n, m).agg(
           count(lit(1)).as("windows"),
           avg("gini").as("mean_gini"),
           avg("entropy").as("mean_entropy"),
           avg(col("nakamoto").cast("double")).as("mean_nakamoto"),
         ).select(
           lit(spec.name).as("chain"),
-          lit(label).as("window"),
+          lit(g.name).as("window"),
           lit(n).as("n_blocks"),
           lit(m).as("step"),
           lit(SlidingWindows.numWindows(spec.blockCount, n, m)).as("expected_L"),
@@ -66,40 +65,27 @@ object Tables {
         )
       }
       .reduce(_ unionByName _)
-  }
 
   /** T5 — information revealed by sliding vs fixed windows (paper Figs. 9/13
     * vs 2/3): per granularity and metric, the number of measurement results
     * and of z-score extremes under each windowing mode.
     */
   def revealSummary(spec: ChainSpec, attrib: DataFrame, z: Double = 2.0): DataFrame = {
-    val modes = Seq(
-      ("day", FixedWindows.Daily, spec.slidingDay),
-      ("week", FixedWindows.Weekly, spec.slidingWeek),
-      ("month", FixedWindows.Monthly, spec.slidingMonth),
-    )
+    // One row per (granularity, mode) series, all six collected by a single action.
+    val counts = (for {
+      g         <- FixedWindows.all
+      (mode, s) <- Seq("fixed" -> Pipeline.fixed(attrib, g), "sliding" -> Pipeline.sliding(attrib, spec, g.slidingSize(spec)))
+    } yield Anomaly.extremeCounts(s, z).select(lit(g.name).as("granularity"), lit(mode).as("mode"), col("*")))
+      .reduce(_ unionByName _).collect().map(r => (r.getString(0), r.getString(1)) -> r).toMap
     val spark = attrib.sparkSession
     import spark.implicits._
-    val series = modes.map { case (label, g, n) =>
-      (label, Pipeline.fixed(attrib, g).cache(), Pipeline.sliding(attrib, spec, n).cache())
+    val rows = for (g <- FixedWindows.all; metric <- Metrics.names) yield {
+      val (f, s) = (counts((g.name, "fixed")), counts((g.name, "sliding")))
+      (spec.name, g.name, metric,
+       f.getAs[Long]("results"), f.getAs[Long](metric), s.getAs[Long]("results"), s.getAs[Long](metric))
     }
-    // The report rows are local, so the cached series can go once they exist.
-    try {
-      val rows = for {
-        (label, fixedS, slidingS) <- series
-        metric <- Seq("gini", "entropy", "nakamoto")
-      } yield (
-        spec.name,
-        label,
-        metric,
-        fixedS.count(),
-        Anomaly.countExtremes(fixedS, metric, z),
-        slidingS.count(),
-        Anomaly.countExtremes(slidingS, metric, z),
-      )
-      rows.toDF("chain", "granularity", "metric",
-                "results_fixed", "extremes_fixed", "results_sliding", "extremes_sliding")
-    } finally series.foreach { case (_, fixedS, slidingS) => fixedS.unpersist(); slidingS.unpersist() }
+    rows.toDF("chain", "granularity", "metric",
+              "results_fixed", "extremes_fixed", "results_sliding", "extremes_sliding")
   }
 
   /** T6 — the day-14 Bitcoin case study (paper §II-C-1d): daily metrics for
@@ -139,28 +125,17 @@ object Tables {
     * all mean *more* decentralized; lower stddev means more stable.
     */
   def comparison(btcAttrib: DataFrame, ethAttrib: DataFrame): DataFrame = {
-    val spark = btcAttrib.sparkSession
-    import spark.implicits._
-    val rows = for {
-      g      <- FixedWindows.all
-      btc     = Pipeline.summary(Pipeline.fixed(btcAttrib, g)).collect()
-      eth     = Pipeline.summary(Pipeline.fixed(ethAttrib, g)).collect()
-      metric <- Seq("gini", "entropy", "nakamoto")
-    } yield {
-      def stat(rowsArr: Array[org.apache.spark.sql.Row], col: String): Double = {
-        val r = rowsArr.find(_.getString(0) == metric).get
-        r.getDouble(r.fieldIndex(col))
-      }
-      val (bMean, eMean) = (stat(btc, "mean"), stat(eth, "mean"))
-      val (bStd, eStd)   = (stat(btc, "stddev"), stat(eth, "stddev"))
-      val moreDecentralized =
-        if (metric == "gini") { if (bMean < eMean) "bitcoin" else "ethereum" }
-        else { if (bMean > eMean) "bitcoin" else "ethereum" }
-      val moreStable = if (bStd < eStd) "bitcoin" else "ethereum"
-      (g.name, metric, bMean, eMean, moreDecentralized, bStd, eStd, moreStable)
-    }
-    rows.toDF("granularity", "metric", "btc_mean", "eth_mean", "more_decentralized",
-              "btc_stddev", "eth_stddev", "more_stable")
+    def side(chain: String, p: String, attrib: DataFrame) = fixedSummary(chain, attrib)
+      .select(col("granularity"), col("metric"), col("mean").as(s"${p}_mean"), col("stddev").as(s"${p}_stddev"))
+    def winner(btcWins: Column) = when(btcWins, "bitcoin").otherwise("ethereum")
+    def rank(c: String, values: Seq[String]) = array_position(array(values.map(lit): _*), col(c))
+    val (bMean, eMean) = (col("btc_mean"), col("eth_mean"))
+    side("bitcoin", "btc", btcAttrib)
+      .join(side("ethereum", "eth", ethAttrib), Seq("granularity", "metric"))
+      .orderBy(rank("granularity", FixedWindows.all.map(_.name)), rank("metric", Metrics.names))
+      .select(col("granularity"), col("metric"), bMean, eMean,
+        winner(when(col("metric") === "gini", bMean < eMean).otherwise(bMean > eMean)).as("more_decentralized"),
+        col("btc_stddev"), col("eth_stddev"), winner(col("btc_stddev") < col("eth_stddev")).as("more_stable"))
   }
 
   /** Top-k producer shares within one window (paper Fig. 7's pie charts). */

@@ -36,6 +36,13 @@ class PipelineSpec extends SparkSpec {
     assert(s.count() === SlidingWindows.numWindows(spec.blockCount, n, n))
   }
 
+  test("sliding rejects a non-positive step instead of using M = N/2") {
+    for (m <- Seq(0L, -5L)) {
+      val e = intercept[IllegalArgumentException](Pipeline.sliding(attrib, spec, spec.slidingWeek, m))
+      assert(e.getMessage.contains("bad window/step"), m)
+    }
+  }
+
   test("series window_ids are ordered and unique") {
     val ids = Pipeline.fixed(attrib, FixedWindows.Monthly)
       .select("window_id").collect().map(_.getLong(0))

@@ -74,6 +74,29 @@ class TablesSpec extends SparkSpec {
     assert(spark.sparkContext.getPersistentRDDs.size === before)
   }
 
+  test("T5 revealSummary rows equal count() and countExtremes on the Pipeline series") {
+    val t5 = Seq(2.0, 1.0).map { z =>
+      val rows = Tables.revealSummary(bSpec, bAttrib, z).collect()
+      assert(rows.length === 9)
+      z -> rows.map(r => (r.getString(1), r.getString(2)) -> r).toMap
+    }
+    for (g <- FixedWindows.all) {
+      val fixedS   = Pipeline.fixed(bAttrib, g).cache()
+      val slidingS = Pipeline.sliding(bAttrib, bSpec, g.slidingSize(bSpec)).cache()
+      for ((z, rows) <- t5; metric <- Metrics.names) {
+        val want = Seq(fixedS.count(), Anomaly.countExtremes(fixedS, metric, z),
+                       slidingS.count(), Anomaly.countExtremes(slidingS, metric, z))
+        assert((3 to 6).map(rows((g.name, metric)).getLong) === want, s"z=$z ${g.name}/$metric")
+      }
+      fixedS.unpersist(); slidingS.unpersist()
+    }
+  }
+
+  test("T5 revealSummary rejects a non-positive z") {
+    val e = intercept[IllegalArgumentException](Tables.revealSummary(bSpec, bAttrib, z = 0.0))
+    assert(e.getMessage.contains("bad z threshold"))
+  }
+
   test("T6 day14Case: day 14 stands out from the daily mean") {
     val t6   = Tables.day14Case(bAttrib)
     val rows = t6.collect().map(r => r.getString(0) -> r).toMap
