@@ -79,6 +79,8 @@ final case class ChainSpec(
     case _ => ()
   }
   require(regimes.last.lastDay >= lastDay, s"regimes must cover the final day $lastDay")
+  // blockAtDay clamps to the last block: a later anomaly would be measured on the wrong day.
+  for (a <- anomalies) require(a.day <= lastDay, s"anomaly day ${a.day} is past the chain's last day $lastDay")
 
   /** Mean inter-block spacing in seconds (BTC ≈ 581.5, ETH ≈ 14.3). */
   def secondsPerBlock: Double = yearSeconds.toDouble / blockCount

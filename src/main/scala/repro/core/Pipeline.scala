@@ -13,9 +13,14 @@ object Pipeline {
   /** Metric series from a window-counts frame:
     * `(window_id, producers, attributions, gini, entropy, nakamoto)`,
     * ordered by `window_id`.
+    *
+    * A series has one row per window (365 daily, at most 752 sliding at
+    * paper scale), so it is sorted locally in a single partition: no sampling
+    * job and no range shuffle, and aggregations over a series need no
+    * exchange.
     */
   def series(counts: DataFrame): DataFrame =
-    Metrics.all(counts).orderBy("window_id")
+    Metrics.all(counts).coalesce(1).sortWithinPartitions("window_id")
 
   /** Fixed-window series for one granularity. */
   def fixed(attrib: DataFrame, g: FixedWindows.Granularity): DataFrame =

@@ -1,6 +1,9 @@
 package repro
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
+import org.apache.spark.sql.execution.metric.SQLShuffleWriteMetricsReporter
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -15,9 +18,23 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Runs `df` once and returns the shuffle exchanges its executed plan ran,
+    * looking inside adaptive query stages.
+    */
+  def executedShuffles(df: DataFrame): Seq[ShuffleExchangeExec] = {
+    df.collect()
+    SparkSpec.Plans.collect(df.queryExecution.executedPlan) { case e: ShuffleExchangeExec => e }
+  }
+
+  /** Records written by a shuffle exchange that has run. */
+  def recordsWritten(e: ShuffleExchangeExec): Long =
+    e.metrics(SQLShuffleWriteMetricsReporter.SHUFFLE_RECORDS_WRITTEN).value
 }
 
 object SparkSpec {
+  private object Plans extends AdaptiveSparkPlanHelper
+
   lazy val shared: SparkSession = {
     val s = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))

@@ -41,6 +41,13 @@ class ModelSpec extends AnyFunSuite {
     assert(AnomalySpec(5, 0.0, 1).day === 5)
   }
 
+  test("ChainSpec rejects an anomaly after its last day instead of moving it") {
+    val s = ChainParams.btc2019
+    val e = intercept[IllegalArgumentException](s.copy(anomalies = s.anomalies :+ AnomalySpec(366, 0.5, 10)))
+    assert(e.getMessage.contains("anomaly day 366 is past the chain's last day 365"))
+    assert(s.copy(anomalies = Vector(AnomalySpec(365, 0.5, 10))).anomalies.size === 1)
+  }
+
   test("ChainSpec requires contiguous regimes starting at day 1") {
     val m = Vector(Miner("a", 1.0))
     def mk(rs: Vector[Regime]) =

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.plans.physical.RangePartitioning
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.chain.{BlockGenerator, ChainParams}
@@ -48,6 +49,22 @@ class PipelineSpec extends SparkSpec {
       .select("window_id").collect().map(_.getLong(0))
     assert(ids.toSeq === ids.sorted.toSeq)
     assert(ids.distinct.length === ids.length)
+  }
+
+  test("a day-sized sliding series from a repartitioned counts frame is strictly increasing") {
+    val (n, m) = (spec.slidingDay, SlidingWindows.paperStep(spec.slidingDay))
+    val counts = SlidingWindows.counts(attrib, n, m, spec.blockCount).repartition(16)
+    val ids = Pipeline.series(counts).select("window_id").collect().map(_.getLong(0))
+    assert(ids.length.toLong === SlidingWindows.numWindows(spec.blockCount, n, m))
+    assert(ids.sliding(2).forall { case Array(a, b) => a < b })
+  }
+
+  test("a series is ordered without a range shuffle, and its summary adds no exchange") {
+    for (s <- Seq(Pipeline.fixed(attrib, FixedWindows.Daily), Pipeline.sliding(attrib, spec, spec.slidingDay))) {
+      val shuffles = executedShuffles(s)
+      assert(!shuffles.exists(_.outputPartitioning.isInstanceOf[RangePartitioning]))
+      assert(executedShuffles(Pipeline.summary(s)).size === shuffles.size)
+    }
   }
 
   test("metric values are within their mathematical ranges everywhere") {

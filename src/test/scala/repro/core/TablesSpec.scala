@@ -1,8 +1,9 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import org.apache.spark.sql.types.LongType
+import repro.{Oracle, SparkSpec}
 import repro.chain.{BlockGenerator, ChainParams}
 import repro.util.Render
 
@@ -29,6 +30,49 @@ class TablesSpec extends SparkSpec {
     assert(b.getLong(b.fieldIndex("attributions")) > b.getLong(b.fieldIndex("blocks")))
     val e = rows("ethereum")
     assert(e.getLong(e.fieldIndex("attributions")) === e.getLong(e.fieldIndex("blocks")))
+  }
+
+  test("T1 of an empty attribution table reports zero counts, not null") {
+    val empty = spark.createDataFrame(spark.sparkContext.emptyRDD[Row], bAttrib.schema)
+    val t1 = Tables.t1Dataset(Seq(bSpec -> empty))
+    assert(t1.schema.fields.tail.forall(_.dataType == LongType))
+    val rows = t1.collect()
+    assert(rows.length === 1)
+    val r = rows.head
+    for (c <- Seq("blocks", "attributions", "producers", "days")) assert(r.getAs[Long](c) === 0L, c)
+    assert(r.isNullAt(r.fieldIndex("first_block")) && r.isNullAt(r.fieldIndex("last_block")))
+  }
+
+  test("T1 and T6 block counts equal DuckDB's COUNT(DISTINCT) across buckets and partitions") {
+    import spark.implicits._
+    // Blocks either side of 0 and of the 32,768-block bitmap buckets; every
+    // day holds two blocks at the same bit position of different buckets.
+    // Block 32,769 has four producers, spread over partitions by the repartition.
+    val attrib = Seq(
+      (0L, 12, "a"), (-1L, 12, "b"), (-32768L, 12, "a"),
+      (32768L, 13, "b"), (65536L, 13, "c"), (-32769L, 13, "a"),
+      (32769L, 14, "a"), (32769L, 14, "x1"), (32769L, 14, "x2"), (32769L, 14, "x3"), (65537L, 14, "b"),
+      (1L, 15, "c"), (-65536L, 15, "a"),
+      (2L, 16, "a"), (-65537L, 16, "b"),
+    ).toDF("block_number", "day", "miner").repartition(4)
+    assert(attrib.where(col("block_number") === 32769L).select(spark_partition_id()).distinct().count() > 1)
+    Oracle.assertEquivalent(Tables.t1Dataset(Seq(bSpec -> attrib)),
+      """SELECT 'bitcoin' AS chain, COUNT(DISTINCT CAST(block_number AS BIGINT)) AS blocks,
+        |  COUNT(*) AS attributions, COUNT(DISTINCT miner) AS producers,
+        |  MIN(CAST(block_number AS BIGINT)) AS first_block, MAX(CAST(block_number AS BIGINT)) AS last_block,
+        |  COUNT(DISTINCT day) AS days FROM a""".stripMargin,
+      "a" -> attrib)
+    Oracle.assertEquivalent(
+      Tables.day14Case(attrib).where(col("label") =!= "daily_mean").select("label", "blocks"),
+      """SELECT 'day_' || CAST(day AS INTEGER) AS label, COUNT(DISTINCT CAST(block_number AS BIGINT)) AS blocks
+        |FROM a GROUP BY CAST(day AS INTEGER)""".stripMargin,
+      "a" -> attrib)
+  }
+
+  test("T1 shuffles fewer records than a tenth of its distinct blocks") {
+    val blocks = bSpec.blockCount + eSpec.blockCount
+    val written = executedShuffles(Tables.t1Dataset(Seq(bSpec -> bAttrib, eSpec -> eAttrib))).map(recordsWritten).sum
+    assert(written > 0L && written * 10L < blocks, s"$written shuffle records for $blocks blocks")
   }
 
   test("T2/T3 fixedSummary: 3 granularities × 3 metrics") {
