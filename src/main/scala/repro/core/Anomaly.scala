@@ -12,36 +12,42 @@ import org.apache.spark.sql.functions._
   */
 object Anomaly {
 
-  /** The z-test of `metric` in each window: its z-score against the whole
-    * series where it lies more than `z` sample stddevs from the mean, else null.
+  /** The z-test of `metric` in each window: its z-score against its series (the rows sharing
+    * its `keys`) where it lies more than `z` sample stddevs from the series mean, else null.
     */
-  private def extremeZ(metric: String, z: Double): Column = {
+  private def extremeZ(keys: Seq[Column], metric: String, z: Double): Column = {
     require(z > 0, s"bad z threshold $z")
     val x     = col(metric).cast("double")
-    val mu    = avg(x).over(Window.partitionBy())
-    val sigma = stddev_samp(x).over(Window.partitionBy())
+    val mu    = avg(x).over(Window.partitionBy(keys: _*))
+    val sigma = stddev_samp(x).over(Window.partitionBy(keys: _*))
     when(sigma > 0 && abs(x - mu) > sigma * lit(z), (x - mu) / sigma)
   }
 
   /** Windows whose `metric` value is more than `z` standard deviations from
-    * the series mean. Returns `(window_id, value, zscore)`.
+    * their series mean. Returns `(keys…, window_id, value, zscore)`.
     */
-  def extremes(series: DataFrame, metric: String, z: Double = 2.0): DataFrame =
+  def extremes(series: DataFrame, metric: String, z: Double = 2.0): DataFrame = {
+    val keys = Metrics.keys(series).map(col)
     series
-      .select(col("window_id"), col(metric).cast("double").as("value"), extremeZ(metric, z).as("zscore"))
+      .select(keys ++ Seq(col("window_id"), col(metric).cast("double").as("value"),
+        extremeZ(keys, metric, z).as("zscore")): _*)
       .where(col("zscore").isNotNull)
-      .orderBy("window_id")
+      .orderBy(keys :+ col("window_id"): _*)
+  }
 
   /** Number of extreme windows for a metric. */
   def countExtremes(series: DataFrame, metric: String, z: Double = 2.0): Long =
     extremes(series, metric, z).count()
 
-  /** One row for the whole series: `results` (its number of windows) and,
+  /** One row per series: its keys, `results` (its number of windows) and,
     * per metric column (gini, entropy, nakamoto), its number of extreme
     * windows.
     */
-  def extremeCounts(series: DataFrame, z: Double = 2.0): DataFrame =
+  def extremeCounts(series: DataFrame, z: Double = 2.0): DataFrame = {
+    val keys = Metrics.keys(series).map(col)
     series
-      .select(Metrics.names.map(m => extremeZ(m, z).as(m)): _*)
+      .select(keys ++ Metrics.names.map(m => extremeZ(keys, m, z).as(m)): _*)
+      .groupBy(keys: _*)
       .agg(count(lit(1)).as("results"), Metrics.names.map(m => count(col(m)).as(m)): _*)
+  }
 }

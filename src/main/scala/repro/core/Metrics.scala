@@ -22,6 +22,13 @@ object Metrics {
   /** The metric columns of a series, in report order. */
   val names: Seq[String] = Seq("gini", "entropy", "nakamoto")
 
+  private val notKeys: Set[String] = Set("window_id", "miner", "cnt", "producers", "attributions") ++ names
+
+  /** The series keys of a window-counts frame or a metric series: every column but the
+    * window id, the producer counts, the window population and the metrics (none: one series).
+    */
+  def keys(df: DataFrame): Seq[String] = df.columns.toSeq.filterNot(notKeys)
+
   /** Nakamoto threshold: the share (in percent) a coalition must reach. */
   private val MajorityPct = 51L
 
@@ -45,14 +52,12 @@ object Metrics {
     WindowMetrics(n, tot, gini, entropy, k)
   }
 
-  /** All three metrics plus window population stats from a window-counts
-    * frame `(window_id: Long, miner: String, cnt: Long)` (one row per producer
-    * per window): `(window_id, producers, attributions, gini, entropy,
-    * nakamoto)`, one row per window.
+  /** All three metrics plus window population stats from a window-counts frame
+    * `(keys…, window_id: Long, miner: String, cnt: Long)` (one row per producer per window of each
+    * series): `(keys…, window_id, producers, attributions, gini, entropy, nakamoto)`, one row per window.
     */
-  def all(counts: DataFrame): DataFrame =
-    counts
-      .groupBy("window_id")
-      .agg(kernel(collect_list("cnt")).as("m"))
-      .select("window_id", "m.producers", "m.attributions", "m.gini", "m.entropy", "m.nakamoto")
+  def all(counts: DataFrame): DataFrame = {
+    val by = (keys(counts) :+ "window_id").map(col)
+    counts.groupBy(by: _*).agg(kernel(collect_list("cnt")).as("m")).select(by :+ col("m.*"): _*)
+  }
 }

@@ -11,16 +11,16 @@ import repro.chain.ChainSpec
 object Pipeline {
 
   /** Metric series from a window-counts frame:
-    * `(window_id, producers, attributions, gini, entropy, nakamoto)`,
-    * ordered by `window_id`.
+    * `(keys…, window_id, producers, attributions, gini, entropy, nakamoto)`,
+    * ordered by the series keys (see [[Metrics.keys]]), then `window_id`.
     *
     * A series has one row per window (365 daily, at most 752 sliding at
-    * paper scale), so it is sorted locally in a single partition: no sampling
-    * job and no range shuffle, and aggregations over a series need no
-    * exchange.
+    * paper scale), and a report table's series together a few thousand, so
+    * they are sorted locally in a single partition: no sampling job and no
+    * range shuffle, and aggregations grouped by series key need no exchange.
     */
   def series(counts: DataFrame): DataFrame =
-    Metrics.all(counts).coalesce(1).sortWithinPartitions("window_id")
+    Metrics.all(counts).coalesce(1).sortWithinPartitions((Metrics.keys(counts) :+ "window_id").map(col): _*)
 
   /** Fixed-window series for one granularity. */
   def fixed(attrib: DataFrame, g: FixedWindows.Granularity): DataFrame =
@@ -34,18 +34,20 @@ object Pipeline {
   def sliding(attrib: DataFrame, spec: ChainSpec, n: Long): DataFrame =
     sliding(attrib, spec, n, SlidingWindows.paperStep(n))
 
-  /** Summary statistics of a metric series: one row per metric (gini,
-    * entropy, nakamoto, in that order) with
-    * `(metric, mean, stddev, min, max, windows)`, from a single aggregation.
+  /** Summary statistics of each series in `s`: one row per series and metric (gini, entropy,
+    * nakamoto, in that order) with `(keys…, metric, mean, stddev, min, max, windows)`, from a
+    * single aggregation grouped by the series keys.
     */
   def summary(s: DataFrame): DataFrame = {
+    val keys = Metrics.keys(s).map(col)
     val stats = Metrics.names.flatMap { m =>
       val x = col(m).cast("double")
       Seq(avg(col(m)).as(s"${m}_mean"), stddev_samp(x).as(s"${m}_stddev"),
           min(x).as(s"${m}_min"), max(x).as(s"${m}_max"))
     }
     val rows = Metrics.names.map(m => s"'$m', ${m}_mean, ${m}_stddev, ${m}_min, ${m}_max").mkString(", ")
-    s.agg(count(lit(1)).as("windows"), stats: _*)
-      .select(expr(s"stack(${Metrics.names.size}, $rows) AS (metric, mean, stddev, min, max)"), col("windows"))
+    s.groupBy(keys: _*).agg(count(lit(1)).as("windows"), stats: _*)
+      .select(keys ++ Seq(expr(s"stack(${Metrics.names.size}, $rows) AS (metric, mean, stddev, min, max)"),
+        col("windows")): _*)
   }
 }

@@ -47,88 +47,84 @@ object Tables {
     */
   private val blockBits: Column = bitmap_construct_agg(bitmap_bit_position(col("block_number")))
 
+  /** Each granularity's window counts, tagged with the series keys `chain` and `granularity`. */
+  private def keyed(chain: String, counts: FixedWindows.Granularity => DataFrame): DataFrame =
+    FixedWindows.all
+      .map(g => counts(g).select(lit(chain).as("chain"), lit(g.name).as("granularity"), col("*")))
+      .reduce(_ unionByName _)
+
+  private def fixedCounts(chain: String, attrib: DataFrame): DataFrame = keyed(chain, FixedWindows.counts(attrib, _))
+
+  /** Sliding counts of every granularity's window size, with the paper's step. */
+  private def slidingCounts(spec: ChainSpec, attrib: DataFrame): DataFrame =
+    keyed(spec.name, { g =>
+      val n = g.slidingSize(spec)
+      SlidingWindows.counts(attrib, n, SlidingWindows.paperStep(n), spec.blockCount)
+    })
+
+  /** Report order: granularities day, week, month; metrics as [[Metrics.names]]. */
+  private val reportOrder: Seq[Column] = {
+    def rank(c: String, values: Seq[String]) = array_position(array(values.map(lit): _*), col(c))
+    Seq(rank("granularity", FixedWindows.all.map(_.name)), rank("metric", Metrics.names))
+  }
+
   /** T2 / T3 — fixed-window metric summaries (paper Figs. 1–3 / 4–6): for
     * each granularity, mean/stddev/min/max of each metric across windows.
     */
   def fixedSummary(chain: String, attrib: DataFrame): DataFrame =
-    FixedWindows.all
-      .map { g =>
-        Pipeline
-          .summary(Pipeline.fixed(attrib, g))
-          .select(lit(chain).as("chain"), lit(g.name).as("granularity"), col("*"))
-      }
-      .reduce(_ unionByName _)
+    Pipeline.summary(Pipeline.series(fixedCounts(chain, attrib))).orderBy(reportOrder: _*)
 
   /** T4 — sliding-window summary (paper §III-B in-text averages and Eq. 5
     * result counts): per chain and window size, L plus each metric's mean.
+    * A size with no window (S < N) reports 0 windows and no means.
     */
-  def slidingSummary(spec: ChainSpec, attrib: DataFrame): DataFrame =
-    FixedWindows.all
-      .map { g =>
-        val n = g.slidingSize(spec)
-        val m = SlidingWindows.paperStep(n)
-        Pipeline.sliding(attrib, spec, n, m).agg(
-          count(lit(1)).as("windows"),
-          avg("gini").as("mean_gini"),
-          avg("entropy").as("mean_entropy"),
-          avg(col("nakamoto").cast("double")).as("mean_nakamoto"),
-        ).select(
-          lit(spec.name).as("chain"),
-          lit(g.name).as("window"),
-          lit(n).as("n_blocks"),
-          lit(m).as("step"),
-          lit(SlidingWindows.numWindows(spec.blockCount, n, m)).as("expected_L"),
-          col("windows"),
-          col("mean_gini"),
-          col("mean_entropy"),
-          col("mean_nakamoto"),
-        )
-      }
-      .reduce(_ unionByName _)
+  def slidingSummary(spec: ChainSpec, attrib: DataFrame): DataFrame = {
+    val stats = Pipeline.summary(Pipeline.series(slidingCounts(spec, attrib))).collect()
+      .map(r => (r.getAs[String]("granularity"), r.getAs[String]("metric")) -> r).toMap
+    attrib.sparkSession.createDataFrame(FixedWindows.all.map { g =>
+      val n = g.slidingSize(spec)
+      val m = SlidingWindows.paperStep(n)
+      def mean(metric: String) = stats.get((g.name, metric)).map(_.getAs[Double]("mean"))
+      (spec.name, g.name, n, m, SlidingWindows.numWindows(spec.blockCount, n, m),
+       stats.get((g.name, "gini")).fold(0L)(_.getAs[Long]("windows")), mean("gini"), mean("entropy"), mean("nakamoto"))
+    }).toDF("chain", "window", "n_blocks", "step", "expected_L", "windows", "mean_gini", "mean_entropy", "mean_nakamoto")
+  }
 
   /** T5 — information revealed by sliding vs fixed windows (paper Figs. 9/13
     * vs 2/3): per granularity and metric, the number of measurement results
     * and of z-score extremes under each windowing mode.
     */
   def revealSummary(spec: ChainSpec, attrib: DataFrame, z: Double = 2.0): DataFrame = {
-    // One row per (granularity, mode) series, all six collected by a single action.
-    val counts = (for {
-      g         <- FixedWindows.all
-      (mode, s) <- Seq("fixed" -> Pipeline.fixed(attrib, g), "sliding" -> Pipeline.sliding(attrib, spec, g.slidingSize(spec)))
-    } yield Anomaly.extremeCounts(s, z).select(lit(g.name).as("granularity"), lit(mode).as("mode"), col("*")))
-      .reduce(_ unionByName _).collect().map(r => (r.getString(0), r.getString(1)) -> r).toMap
-    val spark = attrib.sparkSession
-    import spark.implicits._
-    val rows = for (g <- FixedWindows.all; metric <- Metrics.names) yield {
-      val (f, s) = (counts((g.name, "fixed")), counts((g.name, "sliding")))
-      (spec.name, g.name, metric,
-       f.getAs[Long]("results"), f.getAs[Long](metric), s.getAs[Long]("results"), s.getAs[Long](metric))
-    }
-    rows.toDF("chain", "granularity", "metric",
-              "results_fixed", "extremes_fixed", "results_sliding", "extremes_sliding")
+    val counts = fixedCounts(spec.name, attrib).withColumn("mode", lit("fixed"))
+      .unionByName(slidingCounts(spec, attrib).withColumn("mode", lit("sliding")))
+    val found = Anomaly.extremeCounts(Pipeline.series(counts), z).collect()
+      .map(r => (r.getAs[String]("granularity"), r.getAs[String]("mode")) -> r).toMap
+    // A series with no window (S < N) has no row: 0 results, 0 extremes.
+    def of(g: String, mode: String, c: String) = found.get((g, mode)).fold(0L)(_.getAs[Long](c))
+    val rows = for (g <- FixedWindows.all.map(_.name); metric <- Metrics.names)
+      yield (spec.name, g, metric, of(g, "fixed", "results"), of(g, "fixed", metric),
+             of(g, "sliding", "results"), of(g, "sliding", metric))
+    attrib.sparkSession.createDataFrame(rows).toDF("chain", "granularity", "metric",
+      "results_fixed", "extremes_fixed", "results_sliding", "extremes_sliding")
   }
 
   /** T6 — the day-14 Bitcoin case study (paper §II-C-1d): daily metrics for
-    * days 12–16 plus the all-year daily mean, with true block counts (an
-    * anomalous day has far more attributions than blocks).
+    * days 12–16 in that order, then the all-year daily mean, with true block
+    * counts (an anomalous day has far more attributions than blocks). Days
+    * 12–16 are groups of their own; every day also feeds `daily_mean`.
     */
   def day14Case(attrib: DataFrame): DataFrame = {
-    val daily = Pipeline.fixed(attrib, FixedWindows.Daily)
     val blocksPerDay = attrib
       .groupBy(col("day").cast("long").as("window_id"), bitmap_bucket_number(col("block_number")))
       .agg(bitmap_count(blockBits).as("blocks"))
       .groupBy("window_id")
       .agg(sum("blocks").as("blocks"))
-    val detail = daily
+    val day = col("window_id")
+    val labels = array_compact(array(when(day.between(12, 16), concat(lit("day_"), day)), lit("daily_mean")))
+    Pipeline.fixed(attrib, FixedWindows.Daily)
       .join(blocksPerDay, Seq("window_id"))
-      .where(col("window_id").between(12, 16))
-      .select(
-        concat(lit("day_"), col("window_id")).as("label"),
-        col("blocks"), col("producers"), col("attributions"),
-        col("gini"), col("entropy"), col("nakamoto").cast("long").as("nakamoto"),
-      )
-    val meanRow = daily
-      .join(blocksPerDay, Seq("window_id"))
+      .select(explode(labels).as("label"), col("*"))
+      .coalesce(1).groupBy("label")
       .agg(
         avg("blocks").cast("long").as("blocks"),
         avg("producers").cast("long").as("producers"),
@@ -137,8 +133,7 @@ object Tables {
         avg("entropy").as("entropy"),
         avg(col("nakamoto").cast("double")).cast("long").as("nakamoto"),
       )
-      .select(lit("daily_mean").as("label"), col("*"))
-    detail.unionByName(meanRow)
+      .sortWithinPartitions(col("label") === "daily_mean", col("label"))
   }
 
   /** T7 — Bitcoin vs Ethereum (paper §II-C-3): per granularity and metric,
@@ -147,25 +142,17 @@ object Tables {
     * all mean *more* decentralized; lower stddev means more stable.
     */
   def comparison(btcAttrib: DataFrame, ethAttrib: DataFrame): DataFrame = {
-    def side(chain: String, p: String, attrib: DataFrame) = fixedSummary(chain, attrib)
-      .select(col("granularity"), col("metric"), col("mean").as(s"${p}_mean"), col("stddev").as(s"${p}_stddev"))
+    def of(chain: String, c: String) = first(when(col("chain") === chain, col(c)), ignoreNulls = true)
     def winner(btcWins: Column) = when(btcWins, "bitcoin").otherwise("ethereum")
-    def rank(c: String, values: Seq[String]) = array_position(array(values.map(lit): _*), col(c))
     val (bMean, eMean) = (col("btc_mean"), col("eth_mean"))
-    side("bitcoin", "btc", btcAttrib)
-      .join(side("ethereum", "eth", ethAttrib), Seq("granularity", "metric"))
-      .orderBy(rank("granularity", FixedWindows.all.map(_.name)), rank("metric", Metrics.names))
+    val counts = fixedCounts("bitcoin", btcAttrib).unionByName(fixedCounts("ethereum", ethAttrib))
+    Pipeline.summary(Pipeline.series(counts))
+      .groupBy("granularity", "metric")
+      .agg(of("bitcoin", "mean").as("btc_mean"), of("ethereum", "mean").as("eth_mean"),
+           of("bitcoin", "stddev").as("btc_stddev"), of("ethereum", "stddev").as("eth_stddev"))
+      .orderBy(reportOrder: _*)
       .select(col("granularity"), col("metric"), bMean, eMean,
         winner(when(col("metric") === "gini", bMean < eMean).otherwise(bMean > eMean)).as("more_decentralized"),
         col("btc_stddev"), col("eth_stddev"), winner(col("btc_stddev") < col("eth_stddev")).as("more_stable"))
-  }
-
-  /** Top-k producer shares within one window (paper Fig. 7's pie charts). */
-  def topShares(counts: DataFrame, windowId: Long, k: Int): DataFrame = {
-    val w = counts.where(col("window_id") === windowId)
-    val tot = w.agg(sum("cnt")).first().getLong(0)
-    w.select(col("miner"), col("cnt"), (col("cnt").cast("double") / lit(tot.toDouble)).as("share"))
-      .orderBy(col("cnt").desc, col("miner"))
-      .limit(k)
   }
 }

@@ -1,5 +1,9 @@
 package repro
 
+import java.util.UUID
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicLong
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
@@ -25,6 +29,36 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   def executedShuffles(df: DataFrame): Seq[ShuffleExchangeExec] = {
     df.collect()
     SparkSpec.Plans.collect(df.queryExecution.executedPlan) { case e: ShuffleExchangeExec => e }
+  }
+
+  /** Number of Spark jobs `body` starts, counted under a job group of its
+    * own. Listener events arrive asynchronously but in order, so the count is
+    * read only once the listener has seen a marker job submitted after `body`.
+    */
+  def jobsRun(body: => Any): Long = {
+    val sc = spark.sparkContext
+    val group = s"counted-${UUID.randomUUID()}"
+    val started = new AtomicLong
+    val drained = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).flatMap(p => Option(p.getProperty("spark.jobGroup.id"))) match {
+          case Some(`group`)                => started.incrementAndGet()
+          case Some(g) if g == s"$group.end" => drained.countDown()
+          case _                            => ()
+        }
+    }
+    def inGroup(g: String)(f: => Any): Unit = {
+      sc.setJobGroup(g, g)
+      try f finally sc.clearJobGroup()
+    }
+    sc.addSparkListener(listener)
+    try {
+      inGroup(group)(body)
+      inGroup(s"$group.end")(sc.parallelize(Seq(1), 1).count())
+      assert(drained.await(60, TimeUnit.SECONDS), "the listener never saw the marker job")
+      started.get
+    } finally sc.removeSparkListener(listener)
   }
 
   /** Records written by a shuffle exchange that has run. */

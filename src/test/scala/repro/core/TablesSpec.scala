@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.LongType
 import repro.{Oracle, SparkSpec}
-import repro.chain.{BlockGenerator, ChainParams}
+import repro.chain.{BlockGenerator, ChainParams, ChainSpec}
 import repro.util.Render
 
 /** Shape and internal-consistency checks of the report-table builders
@@ -75,6 +75,76 @@ class TablesSpec extends SparkSpec {
     assert(written > 0L && written * 10L < blocks, s"$written shuffle records for $blocks blocks")
   }
 
+  /** Rows of a report table by (granularity or window, metric). */
+  private def byKey(t: DataFrame, g: String, m: String): Map[(String, String), Row] =
+    t.collect().map(r => (r.getAs[String](g), r.getAs[String](m)) -> r).toMap
+
+  private def assertClose(got: Double, want: Double, what: String): Unit =
+    assert(math.abs(got - want) <= 1e-12, s"$what: $got vs $want")
+
+  test("T2/T3, T4 and T7 rows equal the statistics of each single Pipeline series") {
+    val t7 = byKey(Tables.comparison(bAttrib, eAttrib), "granularity", "metric")
+    for ((spec, attrib, side) <- Seq((bSpec, bAttrib, "btc"), (eSpec, eAttrib, "eth"))) {
+      val fixed = Tables.fixedSummary(spec.name, attrib)
+      assert(fixed.collect().map(r => (r.getString(0), r.getString(1), r.getString(2))).toSeq ===
+        (for (g <- FixedWindows.all; m <- Metrics.names) yield (spec.name, g.name, m)))
+      val t23 = byKey(fixed, "granularity", "metric")
+      val t4  = Tables.slidingSummary(spec, attrib).collect().map(r => r.getAs[String]("window") -> r).toMap
+      assert(t4.size === 3)
+      for (g <- FixedWindows.all) {
+        for (w <- Pipeline.summary(Pipeline.fixed(attrib, g)).collect()) {
+          val metric = w.getAs[String]("metric")
+          val what   = s"${spec.name} ${g.name} $metric"
+          val r = t23((g.name, metric))
+          for (c <- Seq("windows", "min", "max")) assert(r.getAs[Any](c) === w.getAs[Any](c), s"$what $c")
+          for (c <- Seq("mean", "stddev")) assertClose(r.getAs[Double](c), w.getAs[Double](c), s"$what $c")
+          for (c <- Seq("mean", "stddev"))
+            assertClose(t7((g.name, metric)).getAs[Double](s"${side}_$c"), r.getAs[Double](c), s"T7 $what $c")
+        }
+        val s = Pipeline.sliding(attrib, spec, g.slidingSize(spec))
+          .agg(count(lit(1)), avg("gini"), avg("entropy"), avg(col("nakamoto").cast("double"))).first()
+        val r = t4(g.name)
+        assert(r.getAs[Long]("windows") === s.getLong(0), s"${spec.name} ${g.name} windows")
+        for ((m, i) <- Metrics.names.zipWithIndex)
+          assertClose(r.getAs[Double](s"mean_$m"), s.getDouble(i + 1), s"${spec.name} ${g.name} mean_$m")
+      }
+    }
+  }
+
+  test("T4 and T5 keep the row of a window size with no window (S < N)") {
+    val spec: ChainSpec = ChainParams.btc2019.copy(blockCount = 3000, slidingMonth = 5000)
+    val attrib = BlockGenerator.attributions(spark, spec, 24L).cache()
+    val t4 = Tables.slidingSummary(spec, attrib).collect().map(r => r.getAs[String]("window") -> r).toMap
+    assert(t4.keySet === Set("day", "week", "month"))
+    val month = t4("month")
+    assert(month.getAs[Long]("expected_L") === 0L && month.getAs[Long]("windows") === 0L)
+    for (m <- Metrics.names) assert(month.isNullAt(month.fieldIndex(s"mean_$m")), m)
+    assert(t4("week").getAs[Long]("windows") === t4("week").getAs[Long]("expected_L"))
+    val t5 = byKey(Tables.revealSummary(spec, attrib), "granularity", "metric")
+    assert(t5.size === 9)
+    for (m <- Metrics.names) {
+      val r = t5(("month", m))
+      assert(r.getAs[Long]("results_sliding") === 0L && r.getAs[Long]("extremes_sliding") === 0L, m)
+      assert(r.getAs[Long]("results_fixed") === 12L, m)
+    }
+    attrib.unpersist()
+  }
+
+  test("each report table is one keyed plan: Spark jobs per table stay at their gates") {
+    bAttrib.count(); eAttrib.count()
+    val gates = Seq(
+      ("T2", 5L, () => Tables.fixedSummary(bSpec.name, bAttrib)),
+      ("T3", 5L, () => Tables.fixedSummary(eSpec.name, eAttrib)),
+      ("T4", 5L, () => Tables.slidingSummary(bSpec, bAttrib)),
+      ("T5", 8L, () => Tables.revealSummary(bSpec, bAttrib)),
+      ("T6", 6L, () => Tables.day14Case(bAttrib)),
+      ("T7", 8L, () => Tables.comparison(bAttrib, eAttrib)),
+    )
+    val jobs = gates.map { case (name, _, table) => name -> jobsRun(Render.table(table())) }
+    info(s"Spark jobs per table: ${jobs.map { case (t, n) => s"$t $n" }.mkString(", ")}")
+    for (((name, gate, _), (_, n)) <- gates.zip(jobs)) assert(n <= gate, s"$name: $n Spark jobs, gate $gate; all: $jobs")
+  }
+
   test("T2/T3 fixedSummary: 3 granularities × 3 metrics") {
     val t2 = Tables.fixedSummary("bitcoin", bAttrib)
     assert(t2.count() === 9L)
@@ -142,9 +212,9 @@ class TablesSpec extends SparkSpec {
   }
 
   test("T6 day14Case: day 14 stands out from the daily mean") {
-    val t6   = Tables.day14Case(bAttrib)
-    val rows = t6.collect().map(r => r.getString(0) -> r).toMap
-    assert(rows.contains("day_14") && rows.contains("daily_mean"))
+    val t6   = Tables.day14Case(bAttrib).collect()
+    assert(t6.map(_.getString(0)).toSeq === (12 to 16).map(d => s"day_$d") :+ "daily_mean")
+    val rows = t6.map(r => r.getString(0) -> r).toMap
     val d14  = rows("day_14"); val mean = rows("daily_mean")
     // the two injected multi-producer blocks bring ~180 extra producers
     assert(d14.getLong(d14.fieldIndex("producers")) >
@@ -168,15 +238,6 @@ class TablesSpec extends SparkSpec {
                      else { if (bMean > eMean) "bitcoin" else "ethereum" }
       assert(verdict === expected, s"$metric")
     }
-  }
-
-  test("topShares returns k rows with shares summing below 1 and ordered") {
-    val counts = FixedWindows.counts(bAttrib, FixedWindows.Monthly)
-    val top    = Tables.topShares(counts, windowId = 6L, k = 5).collect()
-    assert(top.length === 5)
-    val shares = top.map(_.getDouble(2))
-    assert(shares.sum < 1.0 + 1e-9)
-    assert(shares.sliding(2).forall { case Array(a, b) => a >= b })
   }
 
   test("Render.table produces an aligned header and rows") {
