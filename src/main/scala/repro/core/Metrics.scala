@@ -1,7 +1,9 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import scala.collection.mutable
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.LongType
 
 /** The paper's three decentralization metrics, computed per window by one
   * kernel over the window's per-producer block counts, sorted once.
@@ -34,12 +36,21 @@ object Metrics {
 
   private val Ln2 = math.log(2.0)
 
+  private val CountsMustBePositive = "block counts must be positive"
+
   // Not `private`: Spark's generated encoder code cannot reach a private class.
   private[core] final case class WindowMetrics(
       producers: Long, attributions: Long, gini: Double, entropy: Double, nakamoto: Int)
 
-  private val kernel = udf { (counts: Seq[Long]) =>
-    val xs = counts.toArray
+  /** A window's partial counts `(miner, cnt)`, summed per producer, then measured. */
+  private val kernel = udf { (partials: Seq[Row]) =>
+    val perProducer = mutable.HashMap.empty[String, Long]
+    for (p <- partials) {
+      require(!p.isNullAt(1), CountsMustBePositive)
+      perProducer(p.getString(0)) = perProducer.getOrElse(p.getString(0), 0L) + p.getLong(1)
+    }
+    val xs = perProducer.valuesIterator.toArray
+    require(xs.forall(_ > 0), CountsMustBePositive)
     java.util.Arrays.sort(xs)
     val n   = xs.length.toLong
     val tot = xs.sum
@@ -53,11 +64,17 @@ object Metrics {
   }
 
   /** All three metrics plus window population stats from a window-counts frame
-    * `(keys…, window_id: Long, miner: String, cnt: Long)` (one row per producer per window of each
-    * series): `(keys…, window_id, producers, attributions, gini, entropy, nakamoto)`, one row per window.
+    * `(keys…, window_id: Long, miner: String, cnt: Long)`, one row per window:
+    * `(keys…, window_id, producers, attributions, gini, entropy, nakamoto)`.
+    *
+    * A producer may have several rows in a window (partial counts, e.g. one per pane); the
+    * kernel sums them, so the window counts and the metrics cost one shuffle. A summed count
+    * that is null or not positive fails the query, as in [[LocalMetrics]].
     */
   def all(counts: DataFrame): DataFrame = {
     val by = (keys(counts) :+ "window_id").map(col)
-    counts.groupBy(by: _*).agg(kernel(collect_list("cnt")).as("m")).select(by :+ col("m.*"): _*)
+    counts.groupBy(by: _*)
+      .agg(kernel(collect_list(struct(col("miner"), col("cnt").cast(LongType).as("cnt")))).as("m"))
+      .select(by :+ col("m.*"): _*)
   }
 }

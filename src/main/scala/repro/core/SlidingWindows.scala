@@ -1,8 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types._
 
 /** Sliding block-index windows — the paper's methodological contribution
   * (§III): windows of `N` consecutive blocks advanced by a step of `M`
@@ -24,22 +23,29 @@ object SlidingWindows {
     if (totalBlocks < n) 0L else (totalBlocks - n) / m + 1L
   }
 
+  /** `⌊a/b⌋` and `⌈a/b⌉` for `b > 0` in `Long` arithmetic: `a − pmod(a, b)` and `a + pmod(−a, b)`
+    * are multiples of `b`, so the integral division is exact for negative `a` too.
+    */
+  private def floorDiv(a: Column, b: Long): Column = call_function("div", a - pmod(a, lit(b)), lit(b))
+  private def ceilDiv(a: Column, b: Long): Column  = call_function("div", a + pmod(-a, lit(b)), lit(b))
+
+  /** The windows containing position `pos`, as the window-id range `[lo, hi]` (empty when
+    * `lo > hi`), for windows of `n` positions advanced by `m` of which there are `l`. Window `j`
+    * holds positions `[j·m, j·m + n)`, so `pos` is in windows `j ∈ [⌈(pos−n+1)/m⌉, ⌊pos/m⌋]`,
+    * clamped to `[0, l−1]`. A position is a block index, or a pane of `u` blocks when `u` divides
+    * both N and M (then `n = N/u`, `m = M/u`, and a pane lies wholly inside or outside each window).
+    */
+  private[core] def span(pos: Column, n: Long, m: Long, l: Long): (Column, Column) =
+    (greatest(lit(0L), ceilDiv(pos - lit(n - 1L), m)), least(lit(l - 1L), floorDiv(pos, m)))
+
   /** Attribution rows replicated into every sliding window containing their
-    * block: adds `window_id`. A block at index `i` belongs to windows
-    * `j ∈ [⌈(i−N+1)/M⌉, ⌊i/M⌋]` clamped to `[0, L−1]` — with `M = N/2` that
-    * is at most 2 windows. Implemented with `explode(sequence(lo, hi))`, the
-    * Catalyst form of a banded self-join.
+    * block: adds `window_id`. Each block joins the windows of its [[span]] —
+    * with `M = N/2` at most 2. Implemented with `explode(sequence(lo, hi))`,
+    * the Catalyst form of a banded self-join. This is the per-block reference
+    * for the pane-based window counts of the report tables.
     */
   def assign(attrib: DataFrame, n: Long, m: Long, totalBlocks: Long): DataFrame = {
-    val l = numWindows(totalBlocks, n, m)
-    if (l == 0L) {
-      // No window fits: empty result with the expected schema.
-      return attrib.withColumn("window_id", lit(0L)).where(lit(false))
-    }
-    val rawHi = floor(col("idx") / lit(m)).cast(LongType)
-    val rawLo = ceil((col("idx") - lit(n) + lit(1L)).cast(DoubleType) / lit(m.toDouble)).cast(LongType)
-    val hi    = least(lit(l - 1L), rawHi)
-    val lo    = greatest(lit(0L), rawLo)
+    val (lo, hi) = span(col("idx"), n, m, numWindows(totalBlocks, n, m))
     attrib
       .withColumn("w_lo", lo)
       .withColumn("w_hi", hi)

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.LongType
 import repro.chain.ChainSpec
 
 /** One function per reproduced evaluation table (T1–T7; see DESIGN.md §4 for
@@ -47,20 +48,48 @@ object Tables {
     */
   private val blockBits: Column = bitmap_construct_agg(bitmap_bit_position(col("block_number")))
 
-  /** Each granularity's window counts, tagged with the series keys `chain` and `granularity`. */
-  private def keyed(chain: String, counts: FixedWindows.Granularity => DataFrame): DataFrame =
-    FixedWindows.all
-      .map(g => counts(g).select(lit(chain).as("chain"), lit(g.name).as("granularity"), col("*")))
-      .reduce(_ unionByName _)
+  /** A series of a report table: the windows of one granularity under one windowing mode. */
+  private[core] sealed abstract class Series(val granularity: String, val mode: String)
 
-  private def fixedCounts(chain: String, attrib: DataFrame): DataFrame = keyed(chain, FixedWindows.counts(attrib, _))
+  /** The calendar windows of `g` (paper §II-C), read from the attribution column of `g`. */
+  private[core] final case class Fixed(g: FixedWindows.Granularity) extends Series(g.name, "fixed")
 
-  /** Sliding counts of every granularity's window size, with the paper's step. */
-  private def slidingCounts(spec: ChainSpec, attrib: DataFrame): DataFrame =
-    keyed(spec.name, { g =>
-      val n = g.slidingSize(spec)
-      SlidingWindows.counts(attrib, n, SlidingWindows.paperStep(n), spec.blockCount)
-    })
+  /** Sliding windows of `n` blocks advanced by `m` over `blocks` blocks (paper §III, Eq. 5). */
+  private[core] final case class Sliding(name: String, n: Long, m: Long, blocks: Long)
+      extends Series(name, "sliding")
+
+  private val fixedSeries: Seq[Series] = FixedWindows.all.map(Fixed)
+
+  /** Each granularity's sliding window size, with the paper's step. */
+  private def slidingSeries(spec: ChainSpec): Seq[Series] = FixedWindows.all.map { g =>
+    val n = g.slidingSize(spec)
+    Sliding(g.name, n, SlidingWindows.paperStep(n), spec.blockCount)
+  }
+
+  /** Partial window counts `(chain, granularity, mode, window_id, miner, cnt)` of every series
+    * of one chain, from one aggregation of its attribution table (Li et al., "No Pane, No Gain",
+    * 2005). The aggregation groups by `miner`, by the calendar columns of the fixed series (each
+    * a function of `day`, so they add no rows) and, for sliding series, by pane `idx / u`, where
+    * `u` is the gcd of their sizes and steps: every window is then a run of whole panes. One
+    * `inline` emits each aggregated row once per series window containing it. A producer's rows
+    * in a window add up to its count there; [[Metrics.all]] sums them.
+    */
+  private[core] def windowCounts(chain: String, attrib: DataFrame, series: Seq[Series]): DataFrame = {
+    val u = series.collect { case s: Sliding => Seq(s.n, s.m) }.flatten
+      .foldLeft(0L)((a, b) => BigInt(a).gcd(b).toLong) // 0: no sliding series
+    val calendar = series.collect { case Fixed(g) => col(g.column) }
+    val pane = Option.when(u > 0)(call_function("div", col("idx"), lit(u)).as("pane")).toSeq
+    val windowIds: Series => Column = {
+      case Fixed(g) => array(col(g.column).cast(LongType))
+      case s: Sliding =>
+        val (lo, hi) = SlidingWindows.span(col("pane"), s.n / u, s.m / u, SlidingWindows.numWindows(s.blocks, s.n, s.m))
+        filter(sequence(lo, greatest(lo, hi)), _ <= hi) // [lo] when lo > hi, filtered to no window
+    }
+    val rows = series.map(s => transform(windowIds(s), j => struct(lit(chain).as("chain"),
+      lit(s.granularity).as("granularity"), lit(s.mode).as("mode"), j.as("window_id"), col("miner"), col("cnt"))))
+    attrib.groupBy(calendar ++ pane :+ col("miner"): _*).agg(count(lit(1)).as("cnt"))
+      .select(inline(concat(rows: _*)))
+  }
 
   /** Report order: granularities day, week, month; metrics as [[Metrics.names]]. */
   private val reportOrder: Seq[Column] = {
@@ -72,14 +101,15 @@ object Tables {
     * each granularity, mean/stddev/min/max of each metric across windows.
     */
   def fixedSummary(chain: String, attrib: DataFrame): DataFrame =
-    Pipeline.summary(Pipeline.series(fixedCounts(chain, attrib))).orderBy(reportOrder: _*)
+    Pipeline.summary(Pipeline.series(windowCounts(chain, attrib, fixedSeries).drop("mode")))
+      .orderBy(reportOrder: _*)
 
   /** T4 — sliding-window summary (paper §III-B in-text averages and Eq. 5
     * result counts): per chain and window size, L plus each metric's mean.
     * A size with no window (S < N) reports 0 windows and no means.
     */
   def slidingSummary(spec: ChainSpec, attrib: DataFrame): DataFrame = {
-    val stats = Pipeline.summary(Pipeline.series(slidingCounts(spec, attrib))).collect()
+    val stats = Pipeline.summary(Pipeline.series(windowCounts(spec.name, attrib, slidingSeries(spec)))).collect()
       .map(r => (r.getAs[String]("granularity"), r.getAs[String]("metric")) -> r).toMap
     attrib.sparkSession.createDataFrame(FixedWindows.all.map { g =>
       val n = g.slidingSize(spec)
@@ -95,8 +125,7 @@ object Tables {
     * and of z-score extremes under each windowing mode.
     */
   def revealSummary(spec: ChainSpec, attrib: DataFrame, z: Double = 2.0): DataFrame = {
-    val counts = fixedCounts(spec.name, attrib).withColumn("mode", lit("fixed"))
-      .unionByName(slidingCounts(spec, attrib).withColumn("mode", lit("sliding")))
+    val counts = windowCounts(spec.name, attrib, fixedSeries ++ slidingSeries(spec))
     val found = Anomaly.extremeCounts(Pipeline.series(counts), z).collect()
       .map(r => (r.getAs[String]("granularity"), r.getAs[String]("mode")) -> r).toMap
     // A series with no window (S < N) has no row: 0 results, 0 extremes.
@@ -145,7 +174,8 @@ object Tables {
     def of(chain: String, c: String) = first(when(col("chain") === chain, col(c)), ignoreNulls = true)
     def winner(btcWins: Column) = when(btcWins, "bitcoin").otherwise("ethereum")
     val (bMean, eMean) = (col("btc_mean"), col("eth_mean"))
-    val counts = fixedCounts("bitcoin", btcAttrib).unionByName(fixedCounts("ethereum", ethAttrib))
+    val counts = windowCounts("bitcoin", btcAttrib, fixedSeries)
+      .unionByName(windowCounts("ethereum", ethAttrib, fixedSeries))
     Pipeline.summary(Pipeline.series(counts))
       .groupBy("granularity", "metric")
       .agg(of("bitcoin", "mean").as("btc_mean"), of("ethereum", "mean").as("eth_mean"),

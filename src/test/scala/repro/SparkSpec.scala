@@ -1,13 +1,16 @@
 package repro
 
 import java.util.UUID
-import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
 import java.util.concurrent.atomic.AtomicLong
+import scala.jdk.CollectionConverters._
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.execution.{QueryExecution, SparkPlan}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.execution.metric.SQLShuffleWriteMetricsReporter
+import org.apache.spark.sql.util.QueryExecutionListener
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -26,25 +29,44 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   /** Runs `df` once and returns the shuffle exchanges its executed plan ran,
     * looking inside adaptive query stages.
     */
-  def executedShuffles(df: DataFrame): Seq[ShuffleExchangeExec] = {
-    df.collect()
-    SparkSpec.Plans.collect(df.queryExecution.executedPlan) { case e: ShuffleExchangeExec => e }
+  def executedShuffles(df: DataFrame): Seq[ShuffleExchangeExec] = shufflesRun(df.collect())
+
+  /** The shuffle exchanges run by the queries `body` executes (a report
+    * table may collect a query of its own before it returns), looking inside
+    * adaptive query stages.
+    */
+  def shufflesRun(body: => Any): Seq[ShuffleExchangeExec] = {
+    val plans = new ConcurrentLinkedQueue[SparkPlan]
+    val listener = new QueryExecutionListener {
+      override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit = plans.add(qe.executedPlan)
+      override def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit = ()
+    }
+    spark.listenerManager.register(listener)
+    try drained(body) finally spark.listenerManager.unregister(listener)
+    plans.asScala.toSeq.flatMap(SparkSpec.Plans.collect(_) { case e: ShuffleExchangeExec => e })
   }
 
-  /** Number of Spark jobs `body` starts, counted under a job group of its
-    * own. Listener events arrive asynchronously but in order, so the count is
-    * read only once the listener has seen a marker job submitted after `body`.
-    */
+  /** Number of Spark jobs `body` starts, counted under a job group of its own. */
   def jobsRun(body: => Any): Long = {
+    val started = new AtomicLong
+    drained(body, () => started.incrementAndGet())
+    started.get
+  }
+
+  /** Runs `body` under a job group of its own, calling `onJob` for each job it
+    * starts, and returns once every listener on the shared queue has seen the
+    * events `body` caused. They arrive asynchronously but in order, so that
+    * holds once a marker job submitted after `body` has been seen.
+    */
+  private def drained(body: => Any, onJob: () => Unit = () => ()): Unit = {
     val sc = spark.sparkContext
     val group = s"counted-${UUID.randomUUID()}"
-    val started = new AtomicLong
-    val drained = new CountDownLatch(1)
+    val seen = new CountDownLatch(1)
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit =
         Option(e.properties).flatMap(p => Option(p.getProperty("spark.jobGroup.id"))) match {
-          case Some(`group`)                => started.incrementAndGet()
-          case Some(g) if g == s"$group.end" => drained.countDown()
+          case Some(`group`)                => onJob()
+          case Some(g) if g == s"$group.end" => seen.countDown()
           case _                            => ()
         }
     }
@@ -56,8 +78,7 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
     try {
       inGroup(group)(body)
       inGroup(s"$group.end")(sc.parallelize(Seq(1), 1).count())
-      assert(drained.await(60, TimeUnit.SECONDS), "the listener never saw the marker job")
-      started.get
+      assert(seen.await(60, TimeUnit.SECONDS), "the listener never saw the marker job")
     } finally sc.removeSparkListener(listener)
   }
 

@@ -71,4 +71,19 @@ class MetricsEdgeSpec extends SparkSpec {
     val xs = (1 to 400).map(i => (0L, f"m$i%03d", 450L * i))
     assert(gini(only(xs)) === LocalMetrics.gini(xs.map(_._3)))
   }
+
+  test("a producer count that is zero, negative or null after merging fails instead of being measured") {
+    import spark.implicits._
+    val bad = Seq(
+      "zero count"   -> Seq((0L, "a", Some(3L)), (0L, "b", Some(0L))),
+      "zero total"   -> Seq((0L, "a", Some(0L))),
+      "parts sum to zero" -> Seq((0L, "a", Some(3L)), (0L, "b", Some(2L)), (0L, "b", Some(-2L))),
+      "null count"   -> Seq((0L, "a", Some(3L)), (0L, "b", None)),
+    )
+    for ((what, rows) <- bad) {
+      val e = intercept[Exception](Metrics.all(rows.toDF("window_id", "miner", "cnt")).collect())
+      val messages = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).flatMap(t => Option(t.getMessage))
+      assert(messages.exists(_.contains("block counts must be positive")), s"$what: $e")
+    }
+  }
 }

@@ -108,4 +108,28 @@ class MetricsSpec extends SparkSpec with PropertyCheck {
       }
     }, minSuccessful = 20)
   }
+
+  test("property: metrics are bit-identical when each producer's count is split into partial rows") {
+    import spark.implicits._
+    /** `x` as 1–4 positive parts. */
+    def parts(x: Long): Gen[List[Long]] =
+      if (x == 1L) Gen.const(List(1L))
+      else Gen.choose(0, math.min(3L, x - 1L).toInt).flatMap(k => Gen.pick(k, 1L until x)).map { cuts =>
+        val bounds = 0L +: cuts.sorted.toList :+ x
+        bounds.zip(bounds.tail).map { case (a, b) => b - a }
+      }
+    val window = Gen.nonEmptyListOf(Gen.chooseNum(1L, 200L)).map(_.take(20))
+    val split = for {
+      windows <- Gen.choose(1, 6).flatMap(k => Gen.listOfN(k, window))
+      rows     = for ((xs, w) <- windows.zipWithIndex; (x, i) <- xs.zipWithIndex) yield (w.toLong, f"m$i%03d", x)
+      partial <- Gen.sequence[List[List[(Long, String, Long)]], List[(Long, String, Long)]](
+                   rows.map { case (w, m, x) => parts(x).map(_.map(p => (w, m, p))) })
+      seed    <- Gen.long
+    } yield (rows, new scala.util.Random(seed).shuffle(partial.flatten))
+    def measured(rows: Seq[(Long, String, Long)]) =
+      Metrics.all(rows.toDF("window_id", "miner", "cnt").repartition(3)).collect()
+        .map(_.toSeq.map { case d: Double => java.lang.Double.doubleToRawLongBits(d); case v => v })
+        .sortBy(_.head.asInstanceOf[Long]).toSeq
+    checkProp(Prop.forAll(split) { case (whole, partial) => measured(whole) == measured(partial) }, minSuccessful = 20)
+  }
 }

@@ -2,6 +2,10 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.execution.SparkPlan
+import org.apache.spark.sql.execution.adaptive.{QueryStageExec, ShuffleQueryStageExec}
+import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.types.LongType
 import repro.{Oracle, SparkSpec}
 import repro.chain.{BlockGenerator, ChainParams, ChainSpec}
@@ -130,19 +134,41 @@ class TablesSpec extends SparkSpec {
     attrib.unpersist()
   }
 
+  /** The report tables whose series are window counts, with their Spark-job gates and the number
+    * of chains whose attribution table they aggregate.
+    */
+  private lazy val countTables = Seq(
+    ("T2", 3L, 1, () => Tables.fixedSummary(bSpec.name, bAttrib)),
+    ("T3", 3L, 1, () => Tables.fixedSummary(eSpec.name, eAttrib)),
+    ("T4", 3L, 1, () => Tables.slidingSummary(bSpec, bAttrib)),
+    ("T5", 3L, 1, () => Tables.revealSummary(bSpec, bAttrib)),
+    ("T7", 4L, 2, () => Tables.comparison(bAttrib, eAttrib)),
+  )
+
   test("each report table is one keyed plan: Spark jobs per table stay at their gates") {
     bAttrib.count(); eAttrib.count()
-    val gates = Seq(
-      ("T2", 5L, () => Tables.fixedSummary(bSpec.name, bAttrib)),
-      ("T3", 5L, () => Tables.fixedSummary(eSpec.name, eAttrib)),
-      ("T4", 5L, () => Tables.slidingSummary(bSpec, bAttrib)),
-      ("T5", 8L, () => Tables.revealSummary(bSpec, bAttrib)),
-      ("T6", 6L, () => Tables.day14Case(bAttrib)),
-      ("T7", 8L, () => Tables.comparison(bAttrib, eAttrib)),
-    )
+    val gates = countTables.map { case (name, gate, _, table) => (name, gate, table) } :+
+      (("T6", 6L, () => Tables.day14Case(bAttrib)))
     val jobs = gates.map { case (name, _, table) => name -> jobsRun(Render.table(table())) }
     info(s"Spark jobs per table: ${jobs.map { case (t, n) => s"$t $n" }.mkString(", ")}")
     for (((name, gate, _), (_, n)) <- gates.zip(jobs)) assert(n <= gate, s"$name: $n Spark jobs, gate $gate; all: $jobs")
+  }
+
+  /** Whether `p` scans a cached relation before any other shuffle's output. */
+  private def scansCache(p: SparkPlan): Boolean = p match {
+    case _: InMemoryTableScanExec                          => true
+    case _: ShuffleQueryStageExec | _: ShuffleExchangeExec => false
+    case s: QueryStageExec                                 => scansCache(s.plan)
+    case _                                                 => p.children.exists(scansCache)
+  }
+
+  test("each count table aggregates each chain's cached attribution table in one shuffle") {
+    bAttrib.count(); eAttrib.count()
+    for ((name, _, chains, table) <- countTables) {
+      val shuffles = shufflesRun(Render.table(table()))
+      val scans = shuffles.count(e => scansCache(e.child))
+      assert(scans === chains, s"$name: $scans of ${shuffles.size} executed shuffles read a cached attribution table")
+    }
   }
 
   test("T2/T3 fixedSummary: 3 granularities × 3 metrics") {
