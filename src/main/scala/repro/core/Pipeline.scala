@@ -19,8 +19,11 @@ object Pipeline {
     * they are sorted locally in a single partition: no sampling job and no
     * range shuffle, and aggregations grouped by series key need no exchange.
     */
-  def series(counts: DataFrame): DataFrame =
-    Metrics.all(counts).coalesce(1).sortWithinPartitions((Metrics.keys(counts) :+ "window_id").map(col): _*)
+  def series(counts: DataFrame): DataFrame = ordered(Metrics.all(counts))
+
+  /** Metric series `s` in one partition, sorted by their keys, then `window_id`. */
+  private[core] def ordered(s: DataFrame): DataFrame =
+    s.coalesce(1).sortWithinPartitions((Metrics.keys(s) :+ "window_id").map(col): _*)
 
   /** Fixed-window series for one granularity. */
   def fixed(attrib: DataFrame, g: FixedWindows.Granularity): DataFrame =

@@ -29,20 +29,22 @@ object SlidingWindows {
   private def floorDiv(a: Column, b: Long): Column = call_function("div", a - pmod(a, lit(b)), lit(b))
   private def ceilDiv(a: Column, b: Long): Column  = call_function("div", a + pmod(-a, lit(b)), lit(b))
 
-  /** The windows containing position `pos`, as the window-id range `[lo, hi]` (empty when
-    * `lo > hi`), for windows of `n` positions advanced by `m` of which there are `l`. Window `j`
-    * holds positions `[j·m, j·m + n)`, so `pos` is in windows `j ∈ [⌈(pos−n+1)/m⌉, ⌊pos/m⌋]`,
-    * clamped to `[0, l−1]`. A position is a block index, or a pane of `u` blocks when `u` divides
-    * both N and M (then `n = N/u`, `m = M/u`, and a pane lies wholly inside or outside each window).
+  /** The windows containing block index `pos`, as the window-id range `[lo, hi]` (empty when
+    * `lo > hi`), for windows of `n` blocks advanced by `m` of which there are `l`. Window `j`
+    * holds blocks `[j·m, j·m + n)`, so `pos` is in windows `j ∈ [⌈(pos−n+1)/m⌉, ⌊pos/m⌋]`,
+    * clamped to `[0, l−1]`. A null `pos` gives a null range (`greatest`/`least` skip nulls, so
+    * the clamp alone would put it in every window).
     */
-  private[core] def span(pos: Column, n: Long, m: Long, l: Long): (Column, Column) =
-    (greatest(lit(0L), ceilDiv(pos - lit(n - 1L), m)), least(lit(l - 1L), floorDiv(pos, m)))
+  private[core] def span(pos: Column, n: Long, m: Long, l: Long): (Column, Column) = {
+    def unlessNull(c: Column) = when(pos.isNotNull, c)
+    (unlessNull(greatest(lit(0L), ceilDiv(pos - lit(n - 1L), m))), unlessNull(least(lit(l - 1L), floorDiv(pos, m))))
+  }
 
   /** Attribution rows replicated into every sliding window containing their
     * block: adds `window_id`. Each block joins the windows of its [[span]] —
     * with `M = N/2` at most 2. Implemented with `explode(sequence(lo, hi))`,
     * the Catalyst form of a banded self-join. This is the per-block reference
-    * for the pane-based window counts of the report tables.
+    * for the window counts the report tables aggregate without replicating rows.
     */
   def assign(attrib: DataFrame, n: Long, m: Long, totalBlocks: Long): DataFrame = {
     val (lo, hi) = span(col("idx"), n, m, numWindows(totalBlocks, n, m))

@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.LongType
 import repro.chain.ChainSpec
 
 /** One function per reproduced evaluation table (T1–T7; see DESIGN.md §4 for
@@ -66,29 +65,25 @@ object Tables {
     Sliding(g.name, n, SlidingWindows.paperStep(n), spec.blockCount)
   }
 
-  /** Partial window counts `(chain, granularity, mode, window_id, miner, cnt)` of every series
-    * of one chain, from one aggregation of its attribution table (Li et al., "No Pane, No Gain",
-    * 2005). The aggregation groups by `miner`, by the calendar columns of the fixed series (each
-    * a function of `day`, so they add no rows) and, for sliding series, by pane `idx / u`, where
-    * `u` is the gcd of their sizes and steps: every window is then a run of whole panes. One
-    * `inline` emits each aggregated row once per series window containing it. A producer's rows
-    * in a window add up to its count there; [[Metrics.all]] sums them.
+  /** The metric series of `series` over each chain's attribution table, keyed
+    * `(chain, granularity, mode)` and ordered as [[Pipeline.series]] in one partition, so later
+    * aggregations by key need no exchange. Each chain is one global aggregation
+    * ([[Metrics.windows]]) over only `miner` and the columns its series read: a fixed series
+    * counts a row in window `[v, v]`, v its `day`, `week` or `month`; a sliding series in the
+    * windows [[SlidingWindows.span]] gives its `idx`. Each map task ships one buffer of
+    * per-window producer counts: one shuffle record per partition of the attribution table.
     */
-  private[core] def windowCounts(chain: String, attrib: DataFrame, series: Seq[Series]): DataFrame = {
-    val u = series.collect { case s: Sliding => Seq(s.n, s.m) }.flatten
-      .foldLeft(0L)((a, b) => BigInt(a).gcd(b).toLong) // 0: no sliding series
-    val calendar = series.collect { case Fixed(g) => col(g.column) }
-    val pane = Option.when(u > 0)(call_function("div", col("idx"), lit(u)).as("pane")).toSeq
-    val windowIds: Series => Column = {
-      case Fixed(g) => array(col(g.column).cast(LongType))
-      case s: Sliding =>
-        val (lo, hi) = SlidingWindows.span(col("pane"), s.n / u, s.m / u, SlidingWindows.numWindows(s.blocks, s.n, s.m))
-        filter(sequence(lo, greatest(lo, hi)), _ <= hi) // [lo] when lo > hi, filtered to no window
+  private[core] def seriesOf(chains: Seq[(String, DataFrame)], series: Seq[Series]): DataFrame = {
+    val ranges = series.map {
+      case Fixed(g)   => val v = col(g.column); (v, v)
+      case s: Sliding => SlidingWindows.span(col("idx"), s.n, s.m, SlidingWindows.numWindows(s.blocks, s.n, s.m))
     }
-    val rows = series.map(s => transform(windowIds(s), j => struct(lit(chain).as("chain"),
-      lit(s.granularity).as("granularity"), lit(s.mode).as("mode"), j.as("window_id"), col("miner"), col("cnt"))))
-    attrib.groupBy(calendar ++ pane :+ col("miner"): _*).agg(count(lit(1)).as("cnt"))
-      .select(inline(concat(rows: _*)))
+    def key(of: Series => String) = element_at(array(series.map(s => lit(of(s))): _*), col("series") + 1)
+    Pipeline.ordered(chains.map { case (chain, attrib) =>
+      attrib.select(inline(Metrics.windows(ranges, col("miner"), lit(1L))))
+        .select(Seq(lit(chain).as("chain"), key(_.granularity).as("granularity"), key(_.mode).as("mode")) ++
+          (Seq("window_id", "producers", "attributions") ++ Metrics.names).map(col): _*)
+    }.reduce(_ unionByName _))
   }
 
   /** Report order: granularities day, week, month; metrics as [[Metrics.names]]. */
@@ -101,7 +96,7 @@ object Tables {
     * each granularity, mean/stddev/min/max of each metric across windows.
     */
   def fixedSummary(chain: String, attrib: DataFrame): DataFrame =
-    Pipeline.summary(Pipeline.series(windowCounts(chain, attrib, fixedSeries).drop("mode")))
+    Pipeline.summary(seriesOf(Seq(chain -> attrib), fixedSeries).drop("mode"))
       .orderBy(reportOrder: _*)
 
   /** T4 — sliding-window summary (paper §III-B in-text averages and Eq. 5
@@ -109,7 +104,7 @@ object Tables {
     * A size with no window (S < N) reports 0 windows and no means.
     */
   def slidingSummary(spec: ChainSpec, attrib: DataFrame): DataFrame = {
-    val stats = Pipeline.summary(Pipeline.series(windowCounts(spec.name, attrib, slidingSeries(spec)))).collect()
+    val stats = Pipeline.summary(seriesOf(Seq(spec.name -> attrib), slidingSeries(spec))).collect()
       .map(r => (r.getAs[String]("granularity"), r.getAs[String]("metric")) -> r).toMap
     attrib.sparkSession.createDataFrame(FixedWindows.all.map { g =>
       val n = g.slidingSize(spec)
@@ -125,8 +120,8 @@ object Tables {
     * and of z-score extremes under each windowing mode.
     */
   def revealSummary(spec: ChainSpec, attrib: DataFrame, z: Double = 2.0): DataFrame = {
-    val counts = windowCounts(spec.name, attrib, fixedSeries ++ slidingSeries(spec))
-    val found = Anomaly.extremeCounts(Pipeline.series(counts), z).collect()
+    val series = seriesOf(Seq(spec.name -> attrib), fixedSeries ++ slidingSeries(spec))
+    val found = Anomaly.extremeCounts(series, z).collect()
       .map(r => (r.getAs[String]("granularity"), r.getAs[String]("mode")) -> r).toMap
     // A series with no window (S < N) has no row: 0 results, 0 extremes.
     def of(g: String, mode: String, c: String) = found.get((g, mode)).fold(0L)(_.getAs[Long](c))
@@ -150,7 +145,7 @@ object Tables {
       .agg(sum("blocks").as("blocks"))
     val day = col("window_id")
     val labels = array_compact(array(when(day.between(12, 16), concat(lit("day_"), day)), lit("daily_mean")))
-    Pipeline.fixed(attrib, FixedWindows.Daily)
+    seriesOf(Seq("bitcoin" -> attrib), Seq(Fixed(FixedWindows.Daily)))
       .join(blocksPerDay, Seq("window_id"))
       .select(explode(labels).as("label"), col("*"))
       .coalesce(1).groupBy("label")
@@ -174,9 +169,7 @@ object Tables {
     def of(chain: String, c: String) = first(when(col("chain") === chain, col(c)), ignoreNulls = true)
     def winner(btcWins: Column) = when(btcWins, "bitcoin").otherwise("ethereum")
     val (bMean, eMean) = (col("btc_mean"), col("eth_mean"))
-    val counts = windowCounts("bitcoin", btcAttrib, fixedSeries)
-      .unionByName(windowCounts("ethereum", ethAttrib, fixedSeries))
-    Pipeline.summary(Pipeline.series(counts))
+    Pipeline.summary(seriesOf(Seq("bitcoin" -> btcAttrib, "ethereum" -> ethAttrib), fixedSeries))
       .groupBy("granularity", "metric")
       .agg(of("bitcoin", "mean").as("btc_mean"), of("ethereum", "mean").as("eth_mean"),
            of("bitcoin", "stddev").as("btc_stddev"), of("ethereum", "stddev").as("eth_stddev"))

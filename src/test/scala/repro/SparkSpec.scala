@@ -33,9 +33,11 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 
   /** The shuffle exchanges run by the queries `body` executes (a report
     * table may collect a query of its own before it returns), looking inside
-    * adaptive query stages.
+    * adaptive query stages. Query events arrive asynchronously, so the events
+    * of earlier queries are drained before the listener is registered.
     */
   def shufflesRun(body: => Any): Seq[ShuffleExchangeExec] = {
+    drained(())
     val plans = new ConcurrentLinkedQueue[SparkPlan]
     val listener = new QueryExecutionListener {
       override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit = plans.add(qe.executedPlan)

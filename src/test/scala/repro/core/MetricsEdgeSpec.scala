@@ -80,10 +80,21 @@ class MetricsEdgeSpec extends SparkSpec {
       "parts sum to zero" -> Seq((0L, "a", Some(3L)), (0L, "b", Some(2L)), (0L, "b", Some(-2L))),
       "null count"   -> Seq((0L, "a", Some(3L)), (0L, "b", None)),
     )
-    for ((what, rows) <- bad) {
-      val e = intercept[Exception](Metrics.all(rows.toDF("window_id", "miner", "cnt")).collect())
-      val messages = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).flatMap(t => Option(t.getMessage))
-      assert(messages.exists(_.contains("block counts must be positive")), s"$what: $e")
-    }
+    for ((what, rows) <- bad) assertFails(rows.toDF("window_id", "miner", "cnt"), "block counts must be positive", what)
+  }
+
+  test("a null producer or window id fails instead of being measured") {
+    import spark.implicits._
+    assertFails(Seq[(Long, String, Long)]((1L, "a", 3L), (1L, null, 2L)).toDF("window_id", "miner", "cnt"),
+      "a producer (miner) must not be null", "null miner")
+    assertFails(Seq[(Option[Long], String, Long)]((Some(1L), "a", 3L), (None, "b", 2L)).toDF("window_id", "miner", "cnt"),
+      "a window id must not be null", "null window id")
+  }
+
+  /** Asserts that `Metrics.all(counts)` fails with an error whose message (or a cause's) contains `message`. */
+  private def assertFails(counts: DataFrame, message: String, what: String): Unit = {
+    val e = intercept[Exception](Metrics.all(counts).collect())
+    val messages = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).flatMap(t => Option(t.getMessage))
+    assert(messages.exists(_.contains(message)), s"$what: $e")
   }
 }

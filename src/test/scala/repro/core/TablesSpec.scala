@@ -134,21 +134,21 @@ class TablesSpec extends SparkSpec {
     attrib.unpersist()
   }
 
-  /** The report tables whose series are window counts, with their Spark-job gates and the number
-    * of chains whose attribution table they aggregate.
+  /** The report tables whose series are window counts, with their Spark-job gates and the
+    * attribution tables they aggregate.
     */
   private lazy val countTables = Seq(
-    ("T2", 3L, 1, () => Tables.fixedSummary(bSpec.name, bAttrib)),
-    ("T3", 3L, 1, () => Tables.fixedSummary(eSpec.name, eAttrib)),
-    ("T4", 3L, 1, () => Tables.slidingSummary(bSpec, bAttrib)),
-    ("T5", 3L, 1, () => Tables.revealSummary(bSpec, bAttrib)),
-    ("T7", 4L, 2, () => Tables.comparison(bAttrib, eAttrib)),
+    ("T2", 2L, Seq(bAttrib), () => Tables.fixedSummary(bSpec.name, bAttrib)),
+    ("T3", 2L, Seq(eAttrib), () => Tables.fixedSummary(eSpec.name, eAttrib)),
+    ("T4", 2L, Seq(bAttrib), () => Tables.slidingSummary(bSpec, bAttrib)),
+    ("T5", 2L, Seq(bAttrib), () => Tables.revealSummary(bSpec, bAttrib)),
+    ("T7", 3L, Seq(bAttrib, eAttrib), () => Tables.comparison(bAttrib, eAttrib)),
   )
 
   test("each report table is one keyed plan: Spark jobs per table stay at their gates") {
     bAttrib.count(); eAttrib.count()
     val gates = countTables.map { case (name, gate, _, table) => (name, gate, table) } :+
-      (("T6", 6L, () => Tables.day14Case(bAttrib)))
+      (("T6", 5L, () => Tables.day14Case(bAttrib)))
     val jobs = gates.map { case (name, _, table) => name -> jobsRun(Render.table(table())) }
     info(s"Spark jobs per table: ${jobs.map { case (t, n) => s"$t $n" }.mkString(", ")}")
     for (((name, gate, _), (_, n)) <- gates.zip(jobs)) assert(n <= gate, s"$name: $n Spark jobs, gate $gate; all: $jobs")
@@ -164,10 +164,54 @@ class TablesSpec extends SparkSpec {
 
   test("each count table aggregates each chain's cached attribution table in one shuffle") {
     bAttrib.count(); eAttrib.count()
-    for ((name, _, chains, table) <- countTables) {
+    for ((name, _, attribs, table) <- countTables) {
       val shuffles = shufflesRun(Render.table(table()))
-      val scans = shuffles.count(e => scansCache(e.child))
-      assert(scans === chains, s"$name: $scans of ${shuffles.size} executed shuffles read a cached attribution table")
+      assert(shuffles.size === attribs.size && shuffles.forall(e => scansCache(e.child)),
+        s"$name: ${shuffles.size} executed shuffles, ${shuffles.count(e => scansCache(e.child))} read a cached table")
+    }
+  }
+
+  test("T2-T5 and T7 write no more shuffle records than their attribution tables have partitions") {
+    bAttrib.count(); eAttrib.count()
+    for ((name, _, attribs, table) <- countTables) {
+      val written = shufflesRun(Render.table(table())).map(recordsWritten).sum
+      val partitions = attribs.map(_.rdd.getNumPartitions).sum
+      assert(written > 0L && written <= partitions, s"$name: $written shuffle records, $partitions partitions")
+    }
+  }
+
+  test("a null window column fails a report table instead of being measured") {
+    import spark.implicits._
+    val attrib = Seq[(Option[Long], Option[Int], String)]((Some(0L), Some(1), "a"), (Some(1L), Some(1), "b"),
+        (Some(2L), Some(2), "a"), (Some(3L), None, "b"), (None, Some(2), "c"))
+      .toDF("idx", "day", "miner").select(col("*"), col("day").as("week"), col("day").as("month"))
+    val (nullDay, nullIdx) = (attrib.where(col("idx").isNotNull), attrib.where(col("day").isNotNull))
+    for ((what, table) <- Seq("null day" -> (() => Tables.fixedSummary("bitcoin", nullDay).collect()),
+                              "null idx" -> (() => Tables.slidingSummary(bSpec, nullIdx)))) {
+      val e = intercept[Exception](table())
+      val messages = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).flatMap(t => Option(t.getMessage))
+      assert(messages.exists(_.contains("a window id must not be null")), s"$what: $e")
+    }
+  }
+
+  test("series and Metrics.all are bit-identical however the attribution table is partitioned") {
+    def bits(df: DataFrame): Seq[Seq[Any]] =
+      df.collect().toSeq.map(_.toSeq.map { case d: Double => java.lang.Double.doubleToRawLongBits(d); case v => v })
+    for ((spec, seed) <- Seq(bSpec, eSpec).flatMap(s => Seq(1L, 2L, 3L).map(s -> _))) {
+      val attrib = BlockGenerator.attributions(spark, spec, seed).cache()
+      val layouts = Seq(attrib, attrib.repartition(1), attrib.orderBy(rand(seed)).repartition(7))
+      val series = Tables.Fixed(FixedWindows.Daily) +: FixedWindows.all.map { g =>
+        val n = g.slidingSize(spec)
+        Tables.Sliding(g.name, n, SlidingWindows.paperStep(n), spec.blockCount)
+      }
+      val got = layouts.map { a =>
+        val counts = FixedWindows.all.map(g => FixedWindows.counts(a, g).select(lit(g.name).as("granularity"), col("*")))
+          .reduce(_ unionByName _)
+        (bits(Tables.seriesOf(Seq(spec.name -> a), series)), bits(Metrics.all(counts)).sortBy(_.toString))
+      }
+      assert(got.forall(_ == got.head), s"${spec.name} seed $seed")
+      assert(got.head._1.size > 365 && got.head._2.size === 365 + 53 + 12)
+      attrib.unpersist()
     }
   }
 

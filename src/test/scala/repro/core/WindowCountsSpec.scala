@@ -5,10 +5,12 @@ import org.apache.spark.sql.functions._
 import org.scalacheck.{Gen, Prop}
 import repro.{PropertyCheck, SparkSpec}
 
-/** The report tables' window counts (`Tables.windowCounts`): one aggregation of
-  * the attribution table into partial counts per calendar bucket and pane,
-  * emitted into every series window, against the per-block references
-  * `FixedWindows.counts` and `SlidingWindows.counts`.
+/** The report tables' metric series (`Tables.seriesOf`): one aggregation of the
+  * attribution table that counts each row into every window of each series,
+  * against two references: `Pipeline.series` over the per-block window counts
+  * `FixedWindows.counts` / `SlidingWindows.counts`, and `LocalMetrics` over
+  * per-block windows built in plain Scala from the collected rows (independent
+  * of the aggregator, which `Metrics.all` shares).
   */
 class WindowCountsSpec extends SparkSpec with PropertyCheck {
 
@@ -26,41 +28,61 @@ class WindowCountsSpec extends SparkSpec with PropertyCheck {
     rows.toDF("idx", "miner", "day", "week", "month").repartition(3)
   }
 
-  private def tagged(granularity: String, mode: String, counts: DataFrame): DataFrame =
-    counts.select(lit(granularity).as("granularity"), lit(mode).as("mode"), col("window_id"), col("miner"), col("cnt"))
+  /** A series row with its doubles as raw bits, so equality is bit-identity. */
+  private def bits(r: Row): Seq[Any] = r.toSeq.map { case d: Double => java.lang.Double.doubleToRawLongBits(d); case v => v }
 
-  /** Whether the window counts of the day, week and month series and of sliding
-    * series of the given (N, M) sizes, over `s` blocks, sum per window and
-    * producer to the per-block references and measure identically.
+  /** The series of `series` measured in plain Scala: per-block window membership, then
+    * [[LocalMetrics]] over each window's per-producer counts in ascending order.
+    */
+  private def local(attrib: DataFrame, series: Seq[Tables.Series]): Set[Seq[Any]] = {
+    val rows = attrib.collect().toSeq
+    def windowsOf(s: Tables.Series, r: Row): Seq[Long] = s match {
+      case Tables.Fixed(g) => Seq(r.getAs[Int](g.column).toLong)
+      case w: Tables.Sliding =>
+        val i = r.getAs[Long]("idx")
+        (0L until SlidingWindows.numWindows(w.blocks, w.n, w.m)).filter(j => j * w.m <= i && i < j * w.m + w.n)
+    }
+    (for {
+      s            <- series
+      (j, members) <- rows.flatMap(r => windowsOf(s, r).map(_ -> r.getAs[String]("miner"))).groupBy(_._1)
+    } yield {
+      val xs = members.groupBy(_._2).values.map(_.size.toLong).toSeq.sorted
+      bits(Row("c", s.granularity, s.mode, j, xs.size.toLong, xs.sum,
+        LocalMetrics.gini(xs), LocalMetrics.entropy(xs), LocalMetrics.nakamoto(xs)))
+    }).toSet
+  }
+
+  private def tagged(granularity: String, mode: String, counts: DataFrame): DataFrame =
+    counts.select(lit("c").as("chain"), lit(granularity).as("granularity"), lit(mode).as("mode"), col("*"))
+
+  /** Whether the table series of the day, week and month series and of sliding series of
+    * the given (N, M) sizes, over `s` blocks, are bit-identical to both references.
     */
   private def agrees(s: Long, perDay: Long, seed: Long, sizes: Seq[(Long, Long)]): Boolean = {
     val attrib = attribFrame(s, perDay, seed)
     val sliding = sizes.zipWithIndex.map { case ((n, m), k) => Tables.Sliding(s"s$k", n, m, s) }
-    val got = Tables.windowCounts("c", attrib, FixedWindows.all.map(Tables.Fixed) ++ sliding).drop("chain")
-    val want = (FixedWindows.all.map(g => tagged(g.name, "fixed", FixedWindows.counts(attrib, g))) ++
+    val series = FixedWindows.all.map(Tables.Fixed) ++ sliding
+    val got = Tables.seriesOf(Seq("c" -> attrib), series).collect().toSeq.map(bits)
+    val counts = (FixedWindows.all.map(g => tagged(g.name, "fixed", FixedWindows.counts(attrib, g))) ++
       sliding.map(w => tagged(w.granularity, "sliding", SlidingWindows.counts(attrib, w.n, w.m, s))))
       .reduce(_ unionByName _)
-    def summed(df: DataFrame): Set[Row] =
-      df.groupBy("granularity", "mode", "window_id", "miner").agg(sum("cnt")).collect().toSet
-    def measured(df: DataFrame): Set[Row] = Metrics.all(df).collect().toSet
-    summed(got) == summed(want) && measured(got) == measured(want)
+    got == Pipeline.series(counts).collect().toSeq.map(bits) && got.size == got.toSet.size &&
+      got.toSet == local(attrib, series)
   }
 
   test("window counts equal the per-block references on hand-picked (S, N, M)") {
     val cases = Seq(
-      (20L, Seq((7L, 3L))),            // N not divisible by M, one block per pane
-      (40L, Seq((4L, 10L), (8L, 4L))), // gapped (M > N) next to overlapping, panes of 2 blocks
-      (45L, Seq((6L, 4L), (12L, 6L))), // S not a multiple of the pane size
+      (20L, Seq((7L, 3L))),            // N not divisible by M
+      (40L, Seq((4L, 10L), (8L, 4L))), // gapped (M > N) next to overlapping
       (5L, Seq((10L, 5L), (4L, 2L))),  // S < N: the first series has no window
-      (60L, Seq((6L, 3L), (9L, 3L))),  // panes of 3 blocks, several days per pane
+      (30L, Seq((5L, 1L), (1L, 1L))),  // one block per window step; one-block windows
     )
     for ((s, sizes) <- cases) assert(agrees(s, 4L, s, sizes), s"S=$s sizes=$sizes")
   }
 
   test("property: window counts equal the per-block references for random (S, N, M)") {
     val gen = for {
-      f      <- Gen.choose(1L, 4L) // a common factor of every size and step: panes of f or more blocks
-      sizes  <- Gen.listOfN(2, Gen.zip(Gen.choose(1L, 8L), Gen.choose(1L, 10L)).map { case (a, b) => (f * a, f * b) })
+      sizes  <- Gen.listOfN(2, Gen.zip(Gen.choose(1L, 16L), Gen.choose(1L, 20L)))
       s      <- Gen.choose(1L, 90L)
       perDay <- Gen.choose(1L, 9L)
       seed   <- Gen.long
