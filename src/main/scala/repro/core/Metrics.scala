@@ -6,6 +6,7 @@ import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
 import org.apache.spark.sql.expressions.Aggregator
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.LongType
+import org.roaringbitmap.RoaringBitmap
 
 /** The paper's three decentralization metrics, computed per window by one
   * kernel over the window's per-producer block counts, sorted once.
@@ -130,6 +131,56 @@ object Metrics {
   private[core] def windows(ranges: Seq[(Column, Column)], miner: Column, weight: Column): Column =
     udaf(new Windows(ranges.size)).apply(miner, weight.cast(LongType),
       array(ranges.map(_._1.cast(LongType)): _*), array(ranges.map(_._2.cast(LongType)): _*))
+
+  /** One input row of [[Blocks]]: a window id and a block number (no block when null). */
+  private[core] final case class InWindow(window: java.lang.Long, block: java.lang.Long)
+
+  /** Window id → high 32 bits of a block number → the low 32 bits of its blocks: the distinct
+    * block numbers counted in each window, as (high, low) identifies every `Long`.
+    */
+  private type BlockSets = mutable.LongMap[mutable.LongMap[RoaringBitmap]]
+
+  /** Distinct block numbers per window as one decomposable aggregate: partial buffers hold
+    * compressed bitmaps of each window's blocks (Chambi et al., "Better bitmap performance with
+    * Roaring bitmaps", SPE 2016), merged by OR; finished as window id → cardinality.
+    * 32-bit bitmaps under a hash map: a `Roaring64Bitmap` walks a radix tree on every insert,
+    * which made this aggregate over 2.2 M rows about a fifth slower, and `Roaring64NavigableMap`
+    * fails in its cardinality after OR-merging bitmaps that hold negative and positive numbers.
+    */
+  private final class Blocks extends Aggregator[InWindow, BlockSets, Map[Long, Long]] {
+
+    def zero: BlockSets = mutable.LongMap.empty
+
+    def reduce(b: BlockSets, in: InWindow): BlockSets = {
+      require(in.window != null, NullWindow)
+      val bits = b.getOrElseUpdate(in.window.longValue, mutable.LongMap.empty)
+      if (in.block != null) {
+        val x = in.block.longValue
+        bits.getOrElseUpdate(x >> 32, new RoaringBitmap).add(x.toInt)
+      }
+      b
+    }
+
+    def merge(b1: BlockSets, b2: BlockSets): BlockSets = {
+      for ((w, highs) <- b2; into = b1.getOrElseUpdate(w, mutable.LongMap.empty); (h, bits) <- highs)
+        into.get(h).fold(into(h) = bits)(_.or(bits))
+      b1
+    }
+
+    def finish(b: BlockSets): Map[Long, Long] =
+      b.iterator.map { case (w, highs) => w -> highs.valuesIterator.map(_.getLongCardinality).sum }.toMap
+
+    def bufferEncoder: Encoder[BlockSets]        = Encoders.javaSerialization[BlockSets]
+    def outputEncoder: Encoder[Map[Long, Long]] = ExpressionEncoder[Map[Long, Long]]()
+  }
+
+  /** The aggregate that counts the distinct `block`s of each `window`: a map from the window id
+    * of every row to its number of distinct non-null blocks. A null block counts no block, as in
+    * SQL's `COUNT(DISTINCT)` (a window whose blocks are all null maps to 0); a null window id
+    * fails the query.
+    */
+  private[core] def blocks(window: Column, block: Column): Column =
+    udaf(new Blocks).apply(window.cast(LongType), block.cast(LongType))
 
   /** All three metrics plus window population stats from a window-counts frame
     * `(keys…, window_id: Long, miner: String, cnt: Long)`, one row per window:

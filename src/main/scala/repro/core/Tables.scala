@@ -11,41 +11,23 @@ import repro.chain.ChainSpec
 object Tables {
 
   /** T1 — dataset summary (paper §II-A): block/attribution/producer counts
-    * and block-number range per chain.
+    * and block-number range per chain, each chain one global aggregation.
     */
   def t1Dataset(chains: Seq[(ChainSpec, DataFrame)]): DataFrame =
     chains
       .map { case (spec, attrib) =>
-        // One row per block bucket: its block bitmap, producer set and day set.
-        val perBucket = attrib
-          .groupBy(bitmap_bucket_number(col("block_number")))
-          .agg(
-            blockBits.as("bits"),
-            count(lit(1)).as("attributions"),
-            collect_set("miner").as("miners"),
-            min("block_number").as("first_block"),
-            max("block_number").as("last_block"),
-            collect_set("day").as("days"),
-          )
-        def unionSize(c: String) = size(array_distinct(flatten(collect_list(c)))).cast("long")
-        perBucket.agg(
-          coalesce(sum(bitmap_count(col("bits"))), lit(0L)).as("blocks"),
-          coalesce(sum("attributions"), lit(0L)).as("attributions"),
-          unionSize("miners").as("producers"),
-          min("first_block").as("first_block"),
-          max("last_block").as("last_block"),
-          unionSize("days").as("days"),
+        def distinct(c: String) = size(collect_set(c)).cast("long")
+        attrib.agg(
+          // One window for the whole table; an empty table has none, so 0 blocks.
+          coalesce(element_at(Metrics.blocks(lit(0L), col("block_number")), 0L), lit(0L)).as("blocks"),
+          count(lit(1)).as("attributions"),
+          distinct("miner").as("producers"),
+          min("block_number").as("first_block"),
+          max("block_number").as("last_block"),
+          distinct("day").as("days"),
         ).select(lit(spec.name).as("chain"), col("*"))
       }
       .reduce(_ unionByName _)
-
-  /** Distinct `block_number`s of a group as a bitmap over its block bucket
-    * (`bitmap_bucket_number`): `bitmap_count` of it is the exact number of
-    * distinct blocks, because (bucket, bit position) identifies a block.
-    * Grouping by the bucket lets each map partition ship one 4 KB bitmap per
-    * group and bucket instead of one record per distinct block.
-    */
-  private val blockBits: Column = bitmap_construct_agg(bitmap_bit_position(col("block_number")))
 
   /** A series of a report table: the windows of one granularity under one windowing mode. */
   private[core] sealed abstract class Series(val granularity: String, val mode: String)
@@ -74,16 +56,23 @@ object Tables {
     * per-window producer counts: one shuffle record per partition of the attribution table.
     */
   private[core] def seriesOf(chains: Seq[(String, DataFrame)], series: Seq[Series]): DataFrame = {
+    def key(of: Series => String) = element_at(array(series.map(s => lit(of(s))): _*), col("series") + 1)
+    Pipeline.ordered(chains.map { case (chain, attrib) =>
+      attrib.select(inline(measured(series)))
+        .select(Seq(lit(chain).as("chain"), key(_.granularity).as("granularity"), key(_.mode).as("mode")) ++
+          (Seq("window_id", "producers", "attributions") ++ Metrics.names).map(col): _*)
+    }.reduce(_ unionByName _))
+  }
+
+  /** The [[Metrics.windows]] aggregate of `series` over an attribution table, series numbered
+    * from 0 in `series` order.
+    */
+  private def measured(series: Seq[Series]): Column = {
     val ranges = series.map {
       case Fixed(g)   => val v = col(g.column); (v, v)
       case s: Sliding => SlidingWindows.span(col("idx"), s.n, s.m, SlidingWindows.numWindows(s.blocks, s.n, s.m))
     }
-    def key(of: Series => String) = element_at(array(series.map(s => lit(of(s))): _*), col("series") + 1)
-    Pipeline.ordered(chains.map { case (chain, attrib) =>
-      attrib.select(inline(Metrics.windows(ranges, col("miner"), lit(1L))))
-        .select(Seq(lit(chain).as("chain"), key(_.granularity).as("granularity"), key(_.mode).as("mode")) ++
-          (Seq("window_id", "producers", "attributions") ++ Metrics.names).map(col): _*)
-    }.reduce(_ unionByName _))
+    Metrics.windows(ranges, col("miner"), lit(1L))
   }
 
   /** Report order: granularities day, week, month; metrics as [[Metrics.names]]. */
@@ -134,23 +123,20 @@ object Tables {
 
   /** T6 — the day-14 Bitcoin case study (paper §II-C-1d): daily metrics for
     * days 12–16 in that order, then the all-year daily mean, with true block
-    * counts (an anomalous day has far more attributions than blocks). Days
-    * 12–16 are groups of their own; every day also feeds `daily_mean`.
+    * counts (an anomalous day has far more attributions than blocks). The daily
+    * series and the blocks per day are one global aggregation; days 12–16 are
+    * groups of their own, and every day also feeds `daily_mean`.
     */
   def day14Case(attrib: DataFrame): DataFrame = {
-    val blocksPerDay = attrib
-      .groupBy(col("day").cast("long").as("window_id"), bitmap_bucket_number(col("block_number")))
-      .agg(bitmap_count(blockBits).as("blocks"))
-      .groupBy("window_id")
-      .agg(sum("blocks").as("blocks"))
     val day = col("window_id")
     val labels = array_compact(array(when(day.between(12, 16), concat(lit("day_"), day)), lit("daily_mean")))
-    seriesOf(Seq("bitcoin" -> attrib), Seq(Fixed(FixedWindows.Daily)))
-      .join(blocksPerDay, Seq("window_id"))
+    attrib
+      .agg(measured(Seq(Fixed(FixedWindows.Daily))).as("m"), Metrics.blocks(col("day"), col("block_number")).as("blocks"))
+      .select(inline(col("m")), col("blocks"))
       .select(explode(labels).as("label"), col("*"))
-      .coalesce(1).groupBy("label")
+      .groupBy("label")
       .agg(
-        avg("blocks").cast("long").as("blocks"),
+        avg(element_at(col("blocks"), day)).cast("long").as("blocks"),
         avg("producers").cast("long").as("producers"),
         avg("attributions").cast("long").as("attributions"),
         avg("gini").as("gini"),

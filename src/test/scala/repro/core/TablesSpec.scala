@@ -58,7 +58,10 @@ class TablesSpec extends SparkSpec {
       (32769L, 14, "a"), (32769L, 14, "x1"), (32769L, 14, "x2"), (32769L, 14, "x3"), (65537L, 14, "b"),
       (1L, 15, "c"), (-65536L, 15, "a"),
       (2L, 16, "a"), (-65537L, 16, "b"),
-    ).toDF("block_number", "day", "miner").repartition(4)
+    ).toDF("block_number", "day", "miner")
+      // A null block number is an attribution of its day, but no block.
+      .union(Seq[(Option[Long], Int, String)]((None, 15, "d")).toDF("block_number", "day", "miner"))
+      .repartition(4)
     assert(attrib.where(col("block_number") === 32769L).select(spark_partition_id()).distinct().count() > 1)
     Oracle.assertEquivalent(Tables.t1Dataset(Seq(bSpec -> attrib)),
       """SELECT 'bitcoin' AS chain, COUNT(DISTINCT CAST(block_number AS BIGINT)) AS blocks,
@@ -67,9 +70,9 @@ class TablesSpec extends SparkSpec {
         |  COUNT(DISTINCT day) AS days FROM a""".stripMargin,
       "a" -> attrib)
     Oracle.assertEquivalent(
-      Tables.day14Case(attrib).where(col("label") =!= "daily_mean").select("label", "blocks"),
-      """SELECT 'day_' || CAST(day AS INTEGER) AS label, COUNT(DISTINCT CAST(block_number AS BIGINT)) AS blocks
-        |FROM a GROUP BY CAST(day AS INTEGER)""".stripMargin,
+      Tables.day14Case(attrib).where(col("label") =!= "daily_mean").select("label", "blocks", "attributions"),
+      """SELECT 'day_' || CAST(day AS INTEGER) AS label, COUNT(DISTINCT CAST(block_number AS BIGINT)) AS blocks,
+        |  COUNT(*) AS attributions FROM a GROUP BY CAST(day AS INTEGER)""".stripMargin,
       "a" -> attrib)
   }
 
@@ -83,8 +86,8 @@ class TablesSpec extends SparkSpec {
   private def byKey(t: DataFrame, g: String, m: String): Map[(String, String), Row] =
     t.collect().map(r => (r.getAs[String](g), r.getAs[String](m)) -> r).toMap
 
-  private def assertClose(got: Double, want: Double, what: String): Unit =
-    assert(math.abs(got - want) <= 1e-12, s"$what: $got vs $want")
+  private def assertClose(got: Double, want: Double, what: String, tolerance: Double = 1e-12): Unit =
+    assert(math.abs(got - want) <= tolerance, s"$what: $got vs $want")
 
   test("T2/T3, T4 and T7 rows equal the statistics of each single Pipeline series") {
     val t7 = byKey(Tables.comparison(bAttrib, eAttrib), "granularity", "metric")
@@ -134,21 +137,20 @@ class TablesSpec extends SparkSpec {
     attrib.unpersist()
   }
 
-  /** The report tables whose series are window counts, with their Spark-job gates and the
-    * attribution tables they aggregate.
-    */
-  private lazy val countTables = Seq(
+  /** The report tables, with their Spark-job gates and the attribution tables they aggregate. */
+  private lazy val reportTables = Seq(
+    ("T1", 3L, Seq(bAttrib, eAttrib), () => Tables.t1Dataset(Seq(bSpec -> bAttrib, eSpec -> eAttrib))),
     ("T2", 2L, Seq(bAttrib), () => Tables.fixedSummary(bSpec.name, bAttrib)),
     ("T3", 2L, Seq(eAttrib), () => Tables.fixedSummary(eSpec.name, eAttrib)),
     ("T4", 2L, Seq(bAttrib), () => Tables.slidingSummary(bSpec, bAttrib)),
     ("T5", 2L, Seq(bAttrib), () => Tables.revealSummary(bSpec, bAttrib)),
+    ("T6", 2L, Seq(bAttrib), () => Tables.day14Case(bAttrib)),
     ("T7", 3L, Seq(bAttrib, eAttrib), () => Tables.comparison(bAttrib, eAttrib)),
   )
 
   test("each report table is one keyed plan: Spark jobs per table stay at their gates") {
     bAttrib.count(); eAttrib.count()
-    val gates = countTables.map { case (name, gate, _, table) => (name, gate, table) } :+
-      (("T6", 5L, () => Tables.day14Case(bAttrib)))
+    val gates = reportTables.map { case (name, gate, _, table) => (name, gate, table) }
     val jobs = gates.map { case (name, _, table) => name -> jobsRun(Render.table(table())) }
     info(s"Spark jobs per table: ${jobs.map { case (t, n) => s"$t $n" }.mkString(", ")}")
     for (((name, gate, _), (_, n)) <- gates.zip(jobs)) assert(n <= gate, s"$name: $n Spark jobs, gate $gate; all: $jobs")
@@ -164,20 +166,29 @@ class TablesSpec extends SparkSpec {
 
   test("each count table aggregates each chain's cached attribution table in one shuffle") {
     bAttrib.count(); eAttrib.count()
-    for ((name, _, attribs, table) <- countTables) {
+    for ((name, _, attribs, table) <- reportTables) {
       val shuffles = shufflesRun(Render.table(table()))
       assert(shuffles.size === attribs.size && shuffles.forall(e => scansCache(e.child)),
         s"$name: ${shuffles.size} executed shuffles, ${shuffles.count(e => scansCache(e.child))} read a cached table")
     }
   }
 
-  test("T2-T5 and T7 write no more shuffle records than their attribution tables have partitions") {
+  /** Asserts that each named report table writes at most one shuffle record per attribution-table partition. */
+  private def assertShuffleRecordsWithinPartitions(names: Set[String]): Unit = {
     bAttrib.count(); eAttrib.count()
-    for ((name, _, attribs, table) <- countTables) {
+    for ((name, _, attribs, table) <- reportTables if names(name)) {
       val written = shufflesRun(Render.table(table())).map(recordsWritten).sum
       val partitions = attribs.map(_.rdd.getNumPartitions).sum
       assert(written > 0L && written <= partitions, s"$name: $written shuffle records, $partitions partitions")
     }
+  }
+
+  test("T2-T5 and T7 write no more shuffle records than their attribution tables have partitions") {
+    assertShuffleRecordsWithinPartitions(Set("T2", "T3", "T4", "T5", "T7"))
+  }
+
+  test("T1 and T6 write no more shuffle records than their attribution tables have partitions") {
+    assertShuffleRecordsWithinPartitions(Set("T1", "T6"))
   }
 
   test("a null window column fails a report table instead of being measured") {
@@ -211,6 +222,43 @@ class TablesSpec extends SparkSpec {
       }
       assert(got.forall(_ == got.head), s"${spec.name} seed $seed")
       assert(got.head._1.size > 365 && got.head._2.size === 365 + 53 + 12)
+      attrib.unpersist()
+    }
+  }
+
+  test("T1 and T6 equal a plain-Scala computation however the attribution table is partitioned") {
+    for ((spec, seed) <- Seq(bSpec, eSpec).flatMap(s => Seq(1L, 2L, 3L).map(s -> _))) {
+      val attrib = BlockGenerator.attributions(spark, spec, seed).cache()
+      val rows = attrib.select("block_number", "day", "miner").collect().toSeq
+        .map(r => (r.getLong(0), r.getInt(1), r.getString(2)))
+      def distinct[A](xs: Seq[A]) = xs.distinct.size.toLong
+      val blocks = rows.map(_._1)
+      val t1 = Seq(spec.name, distinct(blocks), rows.size.toLong, distinct(rows.map(_._3)),
+        blocks.min, blocks.max, distinct(rows.map(_._2)))
+      val columns = Seq("blocks", "producers", "attributions", "gini", "entropy", "nakamoto")
+      val days = rows.groupBy(_._2).toSeq.sortBy(_._1).map { case (d, rs) =>
+        val counts = rs.groupBy(_._3).values.map(_.size.toLong).toSeq
+        d -> Seq(distinct(rs.map(_._1)).toDouble, counts.size.toDouble, rs.size.toDouble,
+          LocalMetrics.gini(counts), LocalMetrics.entropy(counts), LocalMetrics.nakamoto(counts).toDouble)
+      }
+      // As Spark's `avg`: a sum in day order over the number of days, truncated for a Long column.
+      val mean = columns.zipWithIndex.map { case (c, i) =>
+        val m = days.map(_._2(i)).sum / days.size
+        if (c == "gini" || c == "entropy") m else m.toLong.toDouble
+      }
+      val t6 = days.collect { case (d, v) if d >= 12 && d <= 16 => s"day_$d" -> v } :+ ("daily_mean" -> mean)
+      for ((layout, a) <- Seq("cached" -> attrib, "one partition" -> attrib.repartition(1),
+                              "shuffled into 7" -> attrib.orderBy(rand(seed)).repartition(7))) {
+        val what = s"${spec.name} seed $seed, $layout"
+        assert(Tables.t1Dataset(Seq(spec -> a)).collect().map(_.toSeq).toSeq === Seq(t1), s"T1 $what")
+        val got = Tables.day14Case(a).collect().toSeq
+        assert(got.map(_.getString(0)) === t6.map(_._1), s"T6 $what")
+        for ((r, (label, want)) <- got.zip(t6); (c, w) <- columns.zip(want)) {
+          val v = r.getAs[Any](c) match { case x: Long => x.toDouble; case x: Double => x }
+          if (c == "entropy") assertClose(v, w, s"T6 $what $label $c", 1e-9)
+          else assert(v === w, s"T6 $what $label $c")
+        }
+      }
       attrib.unpersist()
     }
   }
