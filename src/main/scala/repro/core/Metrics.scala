@@ -45,21 +45,48 @@ object Metrics {
   private val NullProducer         = "a producer (miner) must not be null"
   private val NullWindow           = "a window id must not be null"
 
-  /** One input row of [[Windows]]: a producer, the number of blocks it counts for (its weight)
-    * and, per series, the window-id range `[lo(s), hi(s)]` it counts in (no window when lo > hi).
+  /** One input row of [[Windows]]: a producer, the number of attributions it counts for (its
+    * weight), its block number (no block when null) and, per series, the window-id range
+    * `[lo(s), hi(s)]` it counts in (no window when lo > hi).
     */
   // Not `private`: Spark's generated encoder code cannot reach a private class.
-  private[core] final case class Counted(
-      miner: String, weight: java.lang.Long, lo: Array[java.lang.Long], hi: Array[java.lang.Long])
+  private[core] final case class Counted(miner: String, weight: java.lang.Long, block: java.lang.Long,
+      lo: Array[java.lang.Long], hi: Array[java.lang.Long])
 
-  /** Window `window_id` of series number `series`, measured. */
-  private[core] final case class Measured(
-      series: Int, window_id: Long, producers: Long, attributions: Long, gini: Double, entropy: Double, nakamoto: Int)
+  /** Window `window_id` of series number `series`, measured; `blocks` is its number of distinct
+    * blocks, `attributions` its summed producer counts.
+    */
+  private[core] final case class Measured(series: Int, window_id: Long, blocks: Long, producers: Long,
+      attributions: Long, gini: Double, entropy: Double, nakamoto: Int)
 
   private final class Count(var n: Long) extends Serializable
 
-  /** Per series, window id → producer → block count. */
-  private type Buffer = Array[mutable.LongMap[mutable.HashMap[String, Count]]]
+  /** One window's contents: producer → count, and high 32 bits of a block number → the low 32
+    * bits of its blocks, so (high, low) identifies every `Long`. The bitmaps are allocated with
+    * the first non-null block, so windows counted without blocks carry and ship none.
+    */
+  private final class Contents extends Serializable {
+    val producers = mutable.HashMap.empty[String, Count]
+    var blocks: mutable.LongMap[RoaringBitmap] = _
+
+    def add(block: Long): Unit = {
+      if (blocks == null) blocks = mutable.LongMap.empty
+      blocks.getOrElseUpdate(block >> 32, new RoaringBitmap).add(block.toInt)
+    }
+
+    def addAll(that: Contents): Unit = {
+      for ((p, c) <- that.producers) producers.getOrElseUpdate(p, new Count(0L)).n += c.n
+      if (that.blocks != null) {
+        if (blocks == null) blocks = mutable.LongMap.empty
+        for ((h, bits) <- that.blocks) blocks.get(h).fold(blocks(h) = bits)(_.or(bits))
+      }
+    }
+
+    def blockCount: Long = if (blocks == null) 0L else blocks.valuesIterator.map(_.getLongCardinality).sum
+  }
+
+  /** Per series, window id → its contents. */
+  private type Buffer = Array[mutable.LongMap[Contents]]
 
   /** Gini, entropy and Nakamoto of one window's per-producer counts `xs`, which it sorts in place. */
   private def measure(xs: Array[Long]): (Double, Double, Int) = {
@@ -76,13 +103,19 @@ object Metrics {
     (gini, entropy, k)
   }
 
-  /** Per-producer window counts of `series` series as one decomposable aggregate (partial
-    * buffers per task, merged by adding counts; Yu, Gunda & Isard, SOSP 2009), finished by
-    * measuring every window: one [[Measured]] per (series, window), in that order.
+  /** Per-producer counts and distinct blocks of every window of `series` series as one
+    * decomposable aggregate (partial buffers per task, merged by adding counts and OR-ing
+    * blocks; Yu, Gunda & Isard, SOSP 2009), finished by measuring every window: one
+    * [[Measured]] per (series, window), in that order.
+    * Blocks are compressed bitmaps (Chambi et al., "Better bitmap performance with Roaring
+    * bitmaps", SPE 2016): 32-bit bitmaps under a hash map, as a `Roaring64Bitmap` walks a radix
+    * tree on every insert, which made a distinct-block count over 2.2 M rows about a fifth
+    * slower, and `Roaring64NavigableMap` fails in its cardinality after OR-merging bitmaps that
+    * hold negative and positive numbers.
     */
   private final class Windows(series: Int) extends Aggregator[Counted, Buffer, Seq[Measured]] {
 
-    def zero: Buffer = Array.fill(series)(mutable.LongMap.empty[mutable.HashMap[String, Count]])
+    def zero: Buffer = Array.fill(series)(mutable.LongMap.empty[Contents])
 
     def reduce(b: Buffer, in: Counted): Buffer = {
       require(in.miner != null, NullProducer)
@@ -94,7 +127,9 @@ object Metrics {
         var w = in.lo(s).longValue
         val hi = in.hi(s).longValue
         while (w <= hi) {
-          b(s).getOrElseUpdate(w, mutable.HashMap.empty).getOrElseUpdate(in.miner, new Count(0L)).n += weight
+          val window = b(s).getOrElseUpdate(w, new Contents)
+          window.producers.getOrElseUpdate(in.miner, new Count(0L)).n += weight
+          if (in.block != null) window.add(in.block.longValue)
           w += 1
         }
         s += 1
@@ -103,84 +138,34 @@ object Metrics {
     }
 
     def merge(b1: Buffer, b2: Buffer): Buffer = {
-      for (s <- 0 until series; (w, producers) <- b2(s)) b1(s).get(w) match {
-        case None       => b1(s)(w) = producers
-        case Some(into) => for ((p, c) <- producers) into.getOrElseUpdate(p, new Count(0L)).n += c.n
-      }
+      for (s <- 0 until series; (w, window) <- b2(s)) b1(s).get(w).fold(b1(s)(w) = window)(_.addAll(window))
       b1
     }
 
     def finish(b: Buffer): Seq[Measured] =
       for (s <- 0 until series; w <- b(s).keys.toSeq.sorted) yield {
-        val xs = b(s)(w).valuesIterator.map(_.n).toArray
+        val window = b(s)(w)
+        val xs = window.producers.valuesIterator.map(_.n).toArray
         val (gini, entropy, nakamoto) = measure(xs)
-        Measured(s, w, xs.length.toLong, xs.sum, gini, entropy, nakamoto)
+        Measured(s, w, window.blockCount, xs.length.toLong, xs.sum, gini, entropy, nakamoto)
       }
 
     def bufferEncoder: Encoder[Buffer]       = Encoders.javaSerialization[Buffer]
     def outputEncoder: Encoder[Seq[Measured]] = ExpressionEncoder[Seq[Measured]]()
   }
 
-  /** The aggregate that counts each row `weight` times for `miner` in every window of its
-    * range `(lo, hi)` of each series, then measures every window: an array of
-    * `(series, window_id, producers, attributions, gini, entropy, nakamoto)` structs, series by
-    * series in `ranges` order (numbered from 0), windows ascending, for `inline` to unnest.
-    * A null producer, weight or range bound fails the query with a named error, as does a
-    * producer whose count is not positive.
+  /** The aggregate that counts each row `weight` times for `miner`, and its `block` once, in
+    * every window of its range `(lo, hi)` of each series, then measures every window: an array
+    * of `(series, window_id, blocks, producers, attributions, gini, entropy, nakamoto)` structs,
+    * series by series in `ranges` order (numbered from 0), windows ascending, for `inline` to
+    * unnest. `blocks` counts a window's distinct non-null blocks, as SQL's `COUNT(DISTINCT)`: a
+    * null `block` (a null literal where blocks are not wanted) counts none. A null producer,
+    * weight or range bound fails the query with a named error, as does a producer whose count is
+    * not positive.
     */
-  private[core] def windows(ranges: Seq[(Column, Column)], miner: Column, weight: Column): Column =
-    udaf(new Windows(ranges.size)).apply(miner, weight.cast(LongType),
+  private[core] def windows(ranges: Seq[(Column, Column)], miner: Column, weight: Column, block: Column): Column =
+    udaf(new Windows(ranges.size)).apply(miner, weight.cast(LongType), block.cast(LongType),
       array(ranges.map(_._1.cast(LongType)): _*), array(ranges.map(_._2.cast(LongType)): _*))
-
-  /** One input row of [[Blocks]]: a window id and a block number (no block when null). */
-  private[core] final case class InWindow(window: java.lang.Long, block: java.lang.Long)
-
-  /** Window id → high 32 bits of a block number → the low 32 bits of its blocks: the distinct
-    * block numbers counted in each window, as (high, low) identifies every `Long`.
-    */
-  private type BlockSets = mutable.LongMap[mutable.LongMap[RoaringBitmap]]
-
-  /** Distinct block numbers per window as one decomposable aggregate: partial buffers hold
-    * compressed bitmaps of each window's blocks (Chambi et al., "Better bitmap performance with
-    * Roaring bitmaps", SPE 2016), merged by OR; finished as window id → cardinality.
-    * 32-bit bitmaps under a hash map: a `Roaring64Bitmap` walks a radix tree on every insert,
-    * which made this aggregate over 2.2 M rows about a fifth slower, and `Roaring64NavigableMap`
-    * fails in its cardinality after OR-merging bitmaps that hold negative and positive numbers.
-    */
-  private final class Blocks extends Aggregator[InWindow, BlockSets, Map[Long, Long]] {
-
-    def zero: BlockSets = mutable.LongMap.empty
-
-    def reduce(b: BlockSets, in: InWindow): BlockSets = {
-      require(in.window != null, NullWindow)
-      val bits = b.getOrElseUpdate(in.window.longValue, mutable.LongMap.empty)
-      if (in.block != null) {
-        val x = in.block.longValue
-        bits.getOrElseUpdate(x >> 32, new RoaringBitmap).add(x.toInt)
-      }
-      b
-    }
-
-    def merge(b1: BlockSets, b2: BlockSets): BlockSets = {
-      for ((w, highs) <- b2; into = b1.getOrElseUpdate(w, mutable.LongMap.empty); (h, bits) <- highs)
-        into.get(h).fold(into(h) = bits)(_.or(bits))
-      b1
-    }
-
-    def finish(b: BlockSets): Map[Long, Long] =
-      b.iterator.map { case (w, highs) => w -> highs.valuesIterator.map(_.getLongCardinality).sum }.toMap
-
-    def bufferEncoder: Encoder[BlockSets]        = Encoders.javaSerialization[BlockSets]
-    def outputEncoder: Encoder[Map[Long, Long]] = ExpressionEncoder[Map[Long, Long]]()
-  }
-
-  /** The aggregate that counts the distinct `block`s of each `window`: a map from the window id
-    * of every row to its number of distinct non-null blocks. A null block counts no block, as in
-    * SQL's `COUNT(DISTINCT)` (a window whose blocks are all null maps to 0); a null window id
-    * fails the query.
-    */
-  private[core] def blocks(window: Column, block: Column): Column =
-    udaf(new Blocks).apply(window.cast(LongType), block.cast(LongType))
 
   /** All three metrics plus window population stats from a window-counts frame
     * `(keys…, window_id: Long, miner: String, cnt: Long)`, one row per window:
@@ -193,8 +178,8 @@ object Metrics {
   def all(counts: DataFrame): DataFrame = {
     val keys = Metrics.keys(counts).map(col)
     val window = col("window_id")
-    counts.groupBy(keys: _*).agg(windows(Seq(window -> window), col("miner"), col("cnt")).as("m"))
+    counts.groupBy(keys: _*).agg(windows(Seq(window -> window), col("miner"), col("cnt"), lit(null)).as("m"))
       .select(keys :+ inline(col("m")): _*)
-      .drop("series")
+      .drop("series", "blocks")
   }
 }

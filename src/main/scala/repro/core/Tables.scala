@@ -12,20 +12,23 @@ object Tables {
 
   /** T1 — dataset summary (paper §II-A): block/attribution/producer counts
     * and block-number range per chain, each chain one global aggregation.
+    * Blocks and producers are those of one window holding the whole table; an
+    * empty table has no window, so 0 of each.
     */
   def t1Dataset(chains: Seq[(ChainSpec, DataFrame)]): DataFrame =
     chains
       .map { case (spec, attrib) =>
-        def distinct(c: String) = size(collect_set(c)).cast("long")
+        val all = Metrics.windows(Seq(lit(0L) -> lit(0L)), col("miner"), lit(1L), col("block_number"))
+        // Fields read after the aggregation: reading two inside it would run the aggregate twice.
+        def whole(c: String) = coalesce(col(s"whole.$c"), lit(0L)).as(c)
         attrib.agg(
-          // One window for the whole table; an empty table has none, so 0 blocks.
-          coalesce(element_at(Metrics.blocks(lit(0L), col("block_number")), 0L), lit(0L)).as("blocks"),
+          try_element_at(all, lit(1)).as("whole"),
           count(lit(1)).as("attributions"),
-          distinct("miner").as("producers"),
           min("block_number").as("first_block"),
           max("block_number").as("last_block"),
-          distinct("day").as("days"),
-        ).select(lit(spec.name).as("chain"), col("*"))
+          size(collect_set("day")).cast("long").as("days"),
+        ).select(lit(spec.name).as("chain"), whole("blocks"), col("attributions"), whole("producers"),
+          col("first_block"), col("last_block"), col("days"))
       }
       .reduce(_ unionByName _)
 
@@ -58,21 +61,21 @@ object Tables {
   private[core] def seriesOf(chains: Seq[(String, DataFrame)], series: Seq[Series]): DataFrame = {
     def key(of: Series => String) = element_at(array(series.map(s => lit(of(s))): _*), col("series") + 1)
     Pipeline.ordered(chains.map { case (chain, attrib) =>
-      attrib.select(inline(measured(series)))
+      attrib.select(inline(measured(series, lit(null))))
         .select(Seq(lit(chain).as("chain"), key(_.granularity).as("granularity"), key(_.mode).as("mode")) ++
           (Seq("window_id", "producers", "attributions") ++ Metrics.names).map(col): _*)
     }.reduce(_ unionByName _))
   }
 
   /** The [[Metrics.windows]] aggregate of `series` over an attribution table, series numbered
-    * from 0 in `series` order.
+    * from 0 in `series` order, counting the distinct blocks of column `block`.
     */
-  private def measured(series: Seq[Series]): Column = {
+  private def measured(series: Seq[Series], block: Column): Column = {
     val ranges = series.map {
       case Fixed(g)   => val v = col(g.column); (v, v)
       case s: Sliding => SlidingWindows.span(col("idx"), s.n, s.m, SlidingWindows.numWindows(s.blocks, s.n, s.m))
     }
-    Metrics.windows(ranges, col("miner"), lit(1L))
+    Metrics.windows(ranges, col("miner"), lit(1L), block)
   }
 
   /** Report order: granularities day, week, month; metrics as [[Metrics.names]]. */
@@ -124,19 +127,18 @@ object Tables {
   /** T6 — the day-14 Bitcoin case study (paper §II-C-1d): daily metrics for
     * days 12–16 in that order, then the all-year daily mean, with true block
     * counts (an anomalous day has far more attributions than blocks). The daily
-    * series and the blocks per day are one global aggregation; days 12–16 are
+    * series, blocks per day included, is one global aggregation; days 12–16 are
     * groups of their own, and every day also feeds `daily_mean`.
     */
   def day14Case(attrib: DataFrame): DataFrame = {
     val day = col("window_id")
     val labels = array_compact(array(when(day.between(12, 16), concat(lit("day_"), day)), lit("daily_mean")))
     attrib
-      .agg(measured(Seq(Fixed(FixedWindows.Daily))).as("m"), Metrics.blocks(col("day"), col("block_number")).as("blocks"))
-      .select(inline(col("m")), col("blocks"))
+      .select(inline(measured(Seq(Fixed(FixedWindows.Daily)), col("block_number"))))
       .select(explode(labels).as("label"), col("*"))
       .groupBy("label")
       .agg(
-        avg(element_at(col("blocks"), day)).cast("long").as("blocks"),
+        avg("blocks").cast("long").as("blocks"),
         avg("producers").cast("long").as("producers"),
         avg("attributions").cast("long").as("attributions"),
         avg("gini").as("gini"),

@@ -197,12 +197,23 @@ class TablesSpec extends SparkSpec {
         (Some(2L), Some(2), "a"), (Some(3L), None, "b"), (None, Some(2), "c"))
       .toDF("idx", "day", "miner").select(col("*"), col("day").as("week"), col("day").as("month"))
     val (nullDay, nullIdx) = (attrib.where(col("idx").isNotNull), attrib.where(col("day").isNotNull))
-    for ((what, table) <- Seq("null day" -> (() => Tables.fixedSummary("bitcoin", nullDay).collect()),
-                              "null idx" -> (() => Tables.slidingSummary(bSpec, nullIdx)))) {
-      val e = intercept[Exception](table())
-      val messages = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).flatMap(t => Option(t.getMessage))
-      assert(messages.exists(_.contains("a window id must not be null")), s"$what: $e")
-    }
+    assertFails("null day", "a window id must not be null")(Tables.fixedSummary("bitcoin", nullDay).collect())
+    assertFails("null idx", "a window id must not be null")(Tables.slidingSummary(bSpec, nullIdx))
+  }
+
+  test("a null producer fails T1 and T6 instead of being dropped from the producer count") {
+    import spark.implicits._
+    val attrib = Seq[(Long, Long, Int, String)]((0L, 0L, 14, "a"), (1L, 1L, 14, null), (2L, 2L, 15, "b"))
+      .toDF("block_number", "idx", "day", "miner")
+    assertFails("T1", "a producer (miner) must not be null")(Tables.t1Dataset(Seq(bSpec -> attrib)).collect())
+    assertFails("T6", "a producer (miner) must not be null")(Tables.day14Case(attrib).collect())
+  }
+
+  /** Asserts that `body` fails with an error whose message (or a cause's) contains `message`. */
+  private def assertFails(what: String, message: String)(body: => Any): Unit = {
+    val e = intercept[Exception](body)
+    val messages = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).flatMap(t => Option(t.getMessage))
+    assert(messages.exists(_.contains(message)), s"$what: $e")
   }
 
   test("series and Metrics.all are bit-identical however the attribution table is partitioned") {

@@ -3,14 +3,16 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.scalacheck.{Gen, Prop}
-import repro.{PropertyCheck, SparkSpec}
+import repro.{Oracle, PropertyCheck, SparkSpec}
+import repro.chain.{BlockGenerator, ChainParams}
 
 /** The report tables' metric series (`Tables.seriesOf`): one aggregation of the
   * attribution table that counts each row into every window of each series,
   * against two references: `Pipeline.series` over the per-block window counts
   * `FixedWindows.counts` / `SlidingWindows.counts`, and `LocalMetrics` over
   * per-block windows built in plain Scala from the collected rows (independent
-  * of the aggregator, which `Metrics.all` shares).
+  * of the aggregator, which `Metrics.all` shares). Also the distinct blocks the
+  * same aggregator counts per window, under sliding and fixed ranges.
   */
 class WindowCountsSpec extends SparkSpec with PropertyCheck {
 
@@ -88,5 +90,38 @@ class WindowCountsSpec extends SparkSpec with PropertyCheck {
       seed   <- Gen.long
     } yield (s, perDay, seed, sizes)
     checkProp(Prop.forAll(gen) { case (s, perDay, seed, sizes) => agrees(s, perDay, seed, sizes) }, minSuccessful = 15)
+  }
+
+  test("Metrics.windows counts N distinct blocks per sliding window and DuckDB's COUNT(DISTINCT) per fixed one") {
+    // Scaled BTC: every block has an attribution, and the anomaly blocks have many.
+    val spec = ChainParams.btc2019.scaled(0.05)
+    val attrib = BlockGenerator.attributions(spark, spec, 31L)
+    val anomalous = spec.anomalies.map(a => spec.blockAtDay(a.day, a.frac) - spec.firstBlock)
+    val sliding = FixedWindows.all.map { g => val n = g.slidingSize(spec); (n, SlidingWindows.paperStep(n)) }
+    val ranges = FixedWindows.all.map { g => val v = col(g.column); (v, v) } ++ sliding.map { case (n, m) =>
+      SlidingWindows.span(col("idx"), n, m, SlidingWindows.numWindows(spec.blockCount, n, m))
+    }
+    val measured = attrib.select(inline(Metrics.windows(ranges, col("miner"), lit(1L), col("block_number"))))
+      .select("series", "window_id", "blocks", "attributions").cache()
+    for (((n, m), k) <- sliding.zipWithIndex) {
+      val windows = measured.where(col("series") === FixedWindows.all.size + k).collect()
+        .map(r => (r.getLong(1), r.getLong(2), r.getLong(3))).toSeq
+      assert(windows.map(_._1) === (0L until SlidingWindows.numWindows(spec.blockCount, n, m)), s"N=$n")
+      for ((j, blocks, attributions) <- windows) {
+        val anomaly = anomalous.exists(i => j * m <= i && i < j * m + n)
+        assert(blocks === n && attributions >= blocks && (attributions == blocks) === !anomaly, s"N=$n window $j")
+      }
+      assert(windows.exists(w => w._3 > w._2) && windows.exists(w => w._3 == w._2), s"N=$n")
+    }
+    val granularity = element_at(array(FixedWindows.all.map(g => lit(g.name)): _*), col("series") + 1)
+    Oracle.assertEquivalent(
+      measured.where(col("series") < FixedWindows.all.size)
+        .select(granularity.as("granularity"), col("window_id"), col("blocks")),
+      FixedWindows.all.map(g =>
+        s"""SELECT '${g.name}' AS granularity, CAST(${g.column} AS BIGINT) AS window_id,
+           |  COUNT(DISTINCT CAST(block_number AS BIGINT)) AS blocks FROM a GROUP BY ${g.column}""".stripMargin)
+        .mkString(" UNION ALL "),
+      "a" -> attrib.select("block_number", "day", "week", "month"))
+    measured.unpersist()
   }
 }
