@@ -14,9 +14,9 @@ import org.apache.spark.sql.types._
   *   - `idx: Long`          — 0-based position within the year (block_number − firstBlock)
   *   - `ts_sec: Long`       — seconds since the year start (uniform spacing)
   *   - `day: Int`           — 1-based day-of-year
+  *   - `miner: String`      — producer identity
   *   - `week: Int`          — 1-based 7-day bucket, week = (day−1)/7 + 1 (week 53 partial)
   *   - `month: Int`         — calendar month of 2019
-  *   - `miner: String`      — producer identity
   *
   * Sampling is driven by `xxhash64(block_number, seed)` rather than `rand()`
   * so rows are deterministic in (spec, seed) regardless of partitioning.
@@ -41,64 +41,28 @@ object BlockGenerator {
     }
   }
 
-  /** Block-level frame (before producer attribution): one row per block with
-    * block_number / idx / ts_sec / day.
+  /** Full attribution table for a chain spec: one projection over one
+    * `spark.range(blockCount)` scan, so the table has `spark.range`'s
+    * partitions. Each row's producers are chosen per row: an anomaly block
+    * (the paper's multi-coinbase-address blocks) gets its one-off producers
+    * `anon_<block>_1..n`, where n sums the `nProducers` of every anomaly on
+    * that block; any other block gets one miner sampled from the regime
+    * covering its day.
     */
-  private def blockFrame(spark: SparkSession, spec: ChainSpec): DataFrame = {
-    val spb = spec.secondsPerBlock
+  def attributions(spark: SparkSession, spec: ChainSpec, seed: Long = 2019L): DataFrame = {
+    val oneOffs = spec.anomalies.groupMapReduce(a => spec.blockAtDay(a.day, a.frac))(_.nProducers)(_ + _)
+      .map { case (bn, n) => bn -> (1 to n).map(j => s"anon_${bn}_$j") }
+    val (id, bn, day) = (col("id"), col("block_number"), col("day"))
+    val u = pmod(xxhash64(bn, lit(seed)), lit(HashMod)).cast(DoubleType) / lit(HashMod.toDouble)
+    val sampled = coalesce(spec.regimes.map(r => when(day.between(r.firstDay, r.lastDay), pickerFor(r)(u))): _*)
     spark
       .range(spec.blockCount)
-      .toDF("idx")
-      .select(
-        (col("idx") + lit(spec.firstBlock)).as("block_number"),
-        col("idx"),
-        floor(col("idx").cast(DoubleType) * lit(spb)).cast(LongType).as("ts_sec"),
-      )
+      .select((id + lit(spec.firstBlock)).as("block_number"), id.as("idx"),
+        floor(id.cast(DoubleType) * lit(spec.secondsPerBlock)).cast(LongType).as("ts_sec"))
       .withColumn("day", (col("ts_sec") / lit(86400L)).cast(IntegerType) + lit(1))
-  }
-
-  /** One-off producer rows for the spec's anomaly blocks (the paper's
-    * multi-coinbase-address blocks): `nProducers` rows per anomalous block,
-    * producers named `anon_<block>_<j>`.
-    */
-  private def anomalyFrame(spark: SparkSession, spec: ChainSpec): DataFrame = {
-    import spark.implicits._
-    val rows = spec.anomalies.flatMap { a =>
-      val bn  = spec.blockAtDay(a.day, a.frac)
-      val idx = bn - spec.firstBlock
-      val ts  = spec.tsOf(idx)
-      val day = spec.dayOf(idx)
-      (1 to a.nProducers).map(j => (bn, idx, ts, day, s"anon_${bn}_$j"))
-    }
-    rows.toDF("block_number", "idx", "ts_sec", "day", "miner")
-  }
-
-  /** Full attribution table for a chain spec. */
-  def attributions(spark: SparkSession, spec: ChainSpec, seed: Long = 2019L): DataFrame = {
-    val blocks = blockFrame(spark, spec)
-    val u = pmod(xxhash64(col("block_number"), lit(seed)), lit(HashMod))
-      .cast(DoubleType) / lit(HashMod.toDouble)
-
-    val sampled = spec.regimes
-      .map { r =>
-        blocks
-          .where(col("day").between(r.firstDay, r.lastDay))
-          .withColumn("miner", pickerFor(r)(u))
-      }
-      .reduce(_ unionByName _)
-
-    val anomalousBlockNumbers = spec.anomalies.map(a => spec.blockAtDay(a.day, a.frac)).distinct
-    val normal =
-      if (anomalousBlockNumbers.isEmpty) sampled
-      else sampled.where(!col("block_number").isInCollection(anomalousBlockNumbers))
-
-    val all =
-      if (spec.anomalies.isEmpty) normal
-      else normal.unionByName(anomalyFrame(spark, spec))
-
-    all
-      .withColumn("week", ((col("day") - 1) / lit(7)).cast(IntegerType) + lit(1))
-      .withColumn("month", month(date_add(to_date(lit("2019-01-01")), col("day") - 1)))
+      .withColumn("miner", explode(coalesce(try_element_at(typedLit(oneOffs), bn), array(sampled))))
+      .withColumn("week", ((day - 1) / lit(7)).cast(IntegerType) + lit(1))
+      .withColumn("month", month(date_add(to_date(lit("2019-01-01")), day - 1)))
   }
 
   /** Calendar month (1–12) of a 1-based day-of-year in a non-leap year —

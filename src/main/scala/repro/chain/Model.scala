@@ -37,7 +37,10 @@ final case class Regime(firstDay: Int, lastDay: Int, miners: Vector[Miner]) {
 /** An anomalous multi-producer block (the paper's multi-coinbase-address
   * blocks, e.g. BTC no. 558,473 with >80 coinbase addresses): the block at
   * day `day`, fraction `frac` through the day, is attributed to `nProducers`
-  * distinct one-off producers instead of a single sampled miner.
+  * distinct one-off producers instead of a single sampled miner. Anomalies
+  * that land on the same block add up: its producers are
+  * `anon_<block>_1..(n₁ + n₂ + …)`. `BlockGenerator.attributions` looks the
+  * block up per row in the same scan that samples every other block.
   */
 final case class AnomalySpec(day: Int, frac: Double, nProducers: Int) {
   require(day >= 1 && day <= 366, s"bad anomaly day $day")

@@ -1,8 +1,10 @@
 package repro.chain
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.{RangeExec, UnionExec}
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
+import repro.core.Tables
 
 /** The synthetic-chain generator: determinism, schema, calendar columns,
   * regime boundaries, share calibration and anomaly injection.
@@ -42,6 +44,32 @@ class BlockGeneratorSpec extends SparkSpec {
     val anon = attrib.where(col("miner").startsWith("anon_"))
     assert(anon.count() === spec.anomalies.map(_.nProducers).sum.toLong)
     assert(anon.select("miner").distinct().count() === anon.count())
+  }
+
+  test("anomalies sharing a block add up: scaled BTC day 14 has 180 one-off producers") {
+    // At scale 0.005 (~0.74 blocks a day) the 85- and 95-producer day-14 anomalies land on one block.
+    val small  = ChainParams.btc2019.scaled(0.005)
+    val shared = small.anomalies.filter(_.day == 14).map(a => small.blockAtDay(a.day, a.frac)).distinct
+    assert(shared.size === 1)
+    val rows   = BlockGenerator.attributions(spark, small)
+    val r      = rows.where(col("block_number") === shared.head)
+      .agg(count("*"), countDistinct("miner"), count(when(col("miner").startsWith("anon_"), 1))).first()
+    assert((r.getLong(0), r.getLong(1), r.getLong(2)) === ((180L, 180L, 180L)))
+    val day14 = Tables.day14Case(rows).where(col("label") === "day_14").first()
+    assert(day14.getAs[Long]("attributions") === 180L)
+    assert(day14.getAs[Long]("producers") === 180L)
+    assert(day14.getAs[Double]("gini") === 0.0)
+    assert(day14.getAs[Long]("nakamoto") === 92L)
+  }
+
+  test("the table is one scan: one Range leaf, no Union, spark.range's partitions") {
+    assert(spec.anomalies.nonEmpty)
+    val df     = BlockGenerator.attributions(spark, spec)
+    val plan   = df.queryExecution.executedPlan
+    val leaves = plan.collectLeaves()
+    assert(leaves.size === 1 && leaves.head.isInstanceOf[RangeExec], plan)
+    assert(plan.collect { case u: UnionExec => u }.isEmpty, plan)
+    assert(df.rdd.getNumPartitions === spark.range(spec.blockCount).rdd.getNumPartitions)
   }
 
   test("block numbers are contiguous from firstBlock") {
