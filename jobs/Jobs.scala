@@ -8,11 +8,22 @@ import repro.util.Render
 
 /** Spark session and argument plumbing of the entry point. */
 object Jobs {
+
+  /** The one session definition, used by `Run`, the benchmark and the tests.
+    *
+    * Adaptive query execution is off. Each report table's only exchange is
+    * one global aggregation per chain into a single partition, so AQE has no
+    * partitions to coalesce and no join to convert or split; all it would do
+    * is submit each shuffle stage as a Spark job of its own and re-plan
+    * between them. Without it a table runs as one job: its map stages and
+    * its result stage are scheduled together.
+    */
   def session(app: String): SparkSession =
     SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.sql.adaptive.enabled", "false")
       .getOrCreate()
 
   /** The scale factor given by `arg`, 1.0 when there is none. */

@@ -7,12 +7,12 @@ import scala.jdk.CollectionConverters._
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.execution.{QueryExecution, SparkPlan}
-import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.execution.metric.SQLShuffleWriteMetricsReporter
 import org.apache.spark.sql.util.QueryExecutionListener
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+import repro.jobs.Jobs
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
@@ -25,15 +25,13 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 
   override def afterAll(): Unit = { super.afterAll() }
 
-  /** Runs `df` once and returns the shuffle exchanges its executed plan ran,
-    * looking inside adaptive query stages.
-    */
+  /** Runs `df` once and returns the shuffle exchanges its executed plan ran. */
   def executedShuffles(df: DataFrame): Seq[ShuffleExchangeExec] = shufflesRun(df.collect())
 
   /** The shuffle exchanges run by the queries `body` executes (a report
-    * table may collect a query of its own before it returns), looking inside
-    * adaptive query stages. Query events arrive asynchronously, so the events
-    * of earlier queries are drained before the listener is registered.
+    * table may collect a query of its own before it returns). Query events
+    * arrive asynchronously, so the events of earlier queries are drained
+    * before the listener is registered.
     */
   def shufflesRun(body: => Any): Seq[ShuffleExchangeExec] = {
     drained(())
@@ -44,7 +42,7 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
     }
     spark.listenerManager.register(listener)
     try drained(body) finally spark.listenerManager.unregister(listener)
-    plans.asScala.toSeq.flatMap(SparkSpec.Plans.collect(_) { case e: ShuffleExchangeExec => e })
+    plans.asScala.toSeq.flatMap(_.collect { case e: ShuffleExchangeExec => e })
   }
 
   /** Number of Spark jobs `body` starts, counted under a job group of its own. */
@@ -89,15 +87,12 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 }
 
 object SparkSpec {
-  private object Plans extends AdaptiveSparkPlanHelper
-
+  /** The entry point's session. `Jobs.session` re-applies its SQL settings
+    * to a live session (`BenchmarkApiSpec` calls it), so a builder of the
+    * tests' own would make the settings a suite runs with depend on suite order.
+    */
   lazy val shared: SparkSession = {
-    val s = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("repro")
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .getOrCreate()
+    val s = Jobs.session("repro")
     // One line in test output that tells the driver whether the cgroup
     // derivation saw the real limit (README § Spark target).
     Console.err.println(

@@ -3,7 +3,6 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.execution.SparkPlan
-import org.apache.spark.sql.execution.adaptive.{QueryStageExec, ShuffleQueryStageExec}
 import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.types.LongType
@@ -137,36 +136,34 @@ class TablesSpec extends SparkSpec {
     attrib.unpersist()
   }
 
-  /** The report tables, with their Spark-job gates and the attribution tables they aggregate. */
+  /** The report tables, with the attribution tables they aggregate. */
   private lazy val reportTables = Seq(
-    ("T1", 3L, Seq(bAttrib, eAttrib), () => Tables.t1Dataset(Seq(bSpec -> bAttrib, eSpec -> eAttrib))),
-    ("T2", 2L, Seq(bAttrib), () => Tables.fixedSummary(bSpec.name, bAttrib)),
-    ("T3", 2L, Seq(eAttrib), () => Tables.fixedSummary(eSpec.name, eAttrib)),
-    ("T4", 2L, Seq(bAttrib), () => Tables.slidingSummary(bSpec, bAttrib)),
-    ("T5", 2L, Seq(bAttrib), () => Tables.revealSummary(bSpec, bAttrib)),
-    ("T6", 2L, Seq(bAttrib), () => Tables.day14Case(bAttrib)),
-    ("T7", 3L, Seq(bAttrib, eAttrib), () => Tables.comparison(bAttrib, eAttrib)),
+    ("T1", Seq(bAttrib, eAttrib), () => Tables.t1Dataset(Seq(bSpec -> bAttrib, eSpec -> eAttrib))),
+    ("T2", Seq(bAttrib), () => Tables.fixedSummary(bSpec.name, bAttrib)),
+    ("T3", Seq(eAttrib), () => Tables.fixedSummary(eSpec.name, eAttrib)),
+    ("T4", Seq(bAttrib), () => Tables.slidingSummary(bSpec, bAttrib)),
+    ("T5", Seq(bAttrib), () => Tables.revealSummary(bSpec, bAttrib)),
+    ("T6", Seq(bAttrib), () => Tables.day14Case(bAttrib)),
+    ("T7", Seq(bAttrib, eAttrib), () => Tables.comparison(bAttrib, eAttrib)),
   )
 
   test("each report table is one keyed plan: Spark jobs per table stay at their gates") {
     bAttrib.count(); eAttrib.count()
-    val gates = reportTables.map { case (name, gate, _, table) => (name, gate, table) }
-    val jobs = gates.map { case (name, _, table) => name -> jobsRun(Render.table(table())) }
+    val jobs = reportTables.map { case (name, _, table) => name -> jobsRun(Render.table(table())) }
     info(s"Spark jobs per table: ${jobs.map { case (t, n) => s"$t $n" }.mkString(", ")}")
-    for (((name, gate, _), (_, n)) <- gates.zip(jobs)) assert(n <= gate, s"$name: $n Spark jobs, gate $gate; all: $jobs")
+    for ((name, n) <- jobs) assert(n === 1L, s"$name: $n Spark jobs, gate 1; all: $jobs")
   }
 
   /** Whether `p` scans a cached relation before any other shuffle's output. */
   private def scansCache(p: SparkPlan): Boolean = p match {
-    case _: InMemoryTableScanExec                          => true
-    case _: ShuffleQueryStageExec | _: ShuffleExchangeExec => false
-    case s: QueryStageExec                                 => scansCache(s.plan)
-    case _                                                 => p.children.exists(scansCache)
+    case _: InMemoryTableScanExec => true
+    case _: ShuffleExchangeExec   => false
+    case _                        => p.children.exists(scansCache)
   }
 
   test("each count table aggregates each chain's cached attribution table in one shuffle") {
     bAttrib.count(); eAttrib.count()
-    for ((name, _, attribs, table) <- reportTables) {
+    for ((name, attribs, table) <- reportTables) {
       val shuffles = shufflesRun(Render.table(table()))
       assert(shuffles.size === attribs.size && shuffles.forall(e => scansCache(e.child)),
         s"$name: ${shuffles.size} executed shuffles, ${shuffles.count(e => scansCache(e.child))} read a cached table")
@@ -176,7 +173,7 @@ class TablesSpec extends SparkSpec {
   /** Asserts that each named report table writes at most one shuffle record per attribution-table partition. */
   private def assertShuffleRecordsWithinPartitions(names: Set[String]): Unit = {
     bAttrib.count(); eAttrib.count()
-    for ((name, _, attribs, table) <- reportTables if names(name)) {
+    for ((name, attribs, table) <- reportTables if names(name)) {
       val written = shufflesRun(Render.table(table())).map(recordsWritten).sum
       val partitions = attribs.map(_.rdd.getNumPartitions).sum
       assert(written > 0L && written <= partitions, s"$name: $written shuffle records, $partitions partitions")
