@@ -12,11 +12,14 @@ import org.apache.spark.sql.types._
   *
   *   - `block_number: Long` — absolute block number
   *   - `idx: Long`          — 0-based position within the year (block_number − firstBlock)
-  *   - `ts_sec: Long`       — seconds since the year start (uniform spacing)
-  *   - `day: Int`           — 1-based day-of-year
+  *   - `day: Int`           — 1-based day-of-year of the block's timestamp
   *   - `miner: String`      — producer identity
   *   - `week: Int`          — 1-based 7-day bucket, week = (day−1)/7 + 1 (week 53 partial)
   *   - `month: Int`         — calendar month of 2019
+  *
+  * The table holds only the columns the dataflow reads. A block's timestamp
+  * (seconds since the year start, uniform spacing) is not stored: it is
+  * `ChainSpec.tsOf(idx)`, and `day` is computed from the same term.
   *
   * Sampling is driven by `xxhash64(block_number, seed)` rather than `rand()`
   * so rows are deterministic in (spec, seed) regardless of partitioning.
@@ -58,8 +61,8 @@ object BlockGenerator {
     spark
       .range(spec.blockCount)
       .select((id + lit(spec.firstBlock)).as("block_number"), id.as("idx"),
-        floor(id.cast(DoubleType) * lit(spec.secondsPerBlock)).cast(LongType).as("ts_sec"))
-      .withColumn("day", (col("ts_sec") / lit(86400L)).cast(IntegerType) + lit(1))
+        ((floor(id.cast(DoubleType) * lit(spec.secondsPerBlock)).cast(LongType) / lit(86400L))
+          .cast(IntegerType) + lit(1)).as("day"))
       .withColumn("miner", explode(coalesce(try_element_at(typedLit(oneOffs), bn), array(sampled))))
       .withColumn("week", ((day - 1) / lit(7)).cast(IntegerType) + lit(1))
       .withColumn("month", month(date_add(to_date(lit("2019-01-01")), day - 1)))

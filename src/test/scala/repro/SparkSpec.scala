@@ -28,12 +28,16 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   /** Runs `df` once and returns the shuffle exchanges its executed plan ran. */
   def executedShuffles(df: DataFrame): Seq[ShuffleExchangeExec] = shufflesRun(df.collect())
 
-  /** The shuffle exchanges run by the queries `body` executes (a report
-    * table may collect a query of its own before it returns). Query events
-    * arrive asynchronously, so the events of earlier queries are drained
-    * before the listener is registered.
+  /** The shuffle exchanges run by the queries `body` executes. */
+  def shufflesRun(body: => Any): Seq[ShuffleExchangeExec] =
+    plansRun(body).flatMap(_.collect { case e: ShuffleExchangeExec => e })
+
+  /** The executed plans of the queries `body` runs (a report table may
+    * collect a query of its own before it returns). Query events arrive
+    * asynchronously, so the events of earlier queries are drained before the
+    * listener is registered.
     */
-  def shufflesRun(body: => Any): Seq[ShuffleExchangeExec] = {
+  def plansRun(body: => Any): Seq[SparkPlan] = {
     drained(())
     val plans = new ConcurrentLinkedQueue[SparkPlan]
     val listener = new QueryExecutionListener {
@@ -42,7 +46,7 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
     }
     spark.listenerManager.register(listener)
     try drained(body) finally spark.listenerManager.unregister(listener)
-    plans.asScala.toSeq.flatMap(_.collect { case e: ShuffleExchangeExec => e })
+    plans.asScala.toSeq
   }
 
   /** Number of Spark jobs `body` starts, counted under a job group of its own. */

@@ -3,6 +3,7 @@ package repro.chain
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.execution.{RangeExec, UnionExec}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{IntegerType, LongType, StringType}
 import repro.SparkSpec
 import repro.core.Tables
 
@@ -15,9 +16,10 @@ class BlockGeneratorSpec extends SparkSpec {
   private lazy val attrib: DataFrame =
     BlockGenerator.attributions(spark, spec, seed = 42L).cache()
 
-  test("schema is (block_number, idx, ts_sec, day, miner, week, month)") {
-    assert(attrib.columns.toSet ===
-      Set("block_number", "idx", "ts_sec", "day", "miner", "week", "month"))
+  test("schema is (block_number, idx, day, miner, week, month), typed") {
+    assert(attrib.schema.fields.map(f => f.name -> f.dataType).toSeq === Seq(
+      "block_number" -> LongType, "idx" -> LongType, "day" -> IntegerType,
+      "miner" -> StringType, "week" -> IntegerType, "month" -> IntegerType))
   }
 
   test("every block appears exactly once, except anomalous multi-producer blocks") {
@@ -84,20 +86,33 @@ class BlockGeneratorSpec extends SparkSpec {
     assert(attrib.where(col("idx") =!= col("block_number") - spec.firstBlock).count() === 0L)
   }
 
+  /** `(idx, day)` of every block, in idx order, for the BTC fixture and ETH at
+    * scale 0.1, which has blocks less than a second before midnight, where the
+    * timestamp's rounding shows. A block's timestamp `ts_sec` is not a column:
+    * it is `ChainSpec.tsOf(idx)`.
+    */
+  private lazy val blockDays: Seq[(ChainSpec, Array[(Long, Int)])] = {
+    val eth = ChainParams.eth2019.scaled(0.1)
+    for ((s, a) <- Seq(spec -> attrib, eth -> BlockGenerator.attributions(spark, eth))) yield
+      s -> a.select("idx", "day").distinct().orderBy("idx").collect().map(r => (r.getLong(0), r.getInt(1)))
+  }
+
   test("timestamps are within the year and non-decreasing in idx") {
-    val r = attrib.agg(min("ts_sec"), max("ts_sec")).first()
-    assert(r.getLong(0) === 0L)
-    assert(r.getLong(1) < spec.yearSeconds)
-    val pairs = attrib.select("idx", "ts_sec").distinct()
-      .orderBy("idx").collect().map(x => (x.getLong(0), x.getLong(1)))
-    assert(pairs.sliding(2).forall { case Array(a, b) => b._2 >= a._2; case _ => true })
+    for ((s, days) <- blockDays) {
+      assert(days.map(_._1).sameElements(0L until s.blockCount), s"${s.name}: not one day per block")
+      val ts = days.map { case (i, _) => s.tsOf(i) }
+      assert(ts.min === 0L && ts.max < s.yearSeconds, s.name)
+      assert(ts.sliding(2).forall { case Array(x, y) => y >= x; case _ => true }, s.name)
+      assert(days.sliding(2).forall { case Array(x, y) => y._2 >= x._2; case _ => true }, s.name)
+    }
   }
 
   test("days cover 1..365 and match ts_sec / 86400 + 1") {
-    val r = attrib.agg(min("day"), max("day")).first()
-    assert(r.getInt(0) === 1 && r.getInt(1) === 365)
-    assert(attrib.where(col("day") =!=
-      (col("ts_sec") / lit(86400L)).cast("int") + 1).count() === 0L)
+    for ((s, days) <- blockDays) {
+      val wrong = days.filter { case (i, d) => d != s.tsOf(i) / 86400L + 1 || d != s.dayOf(i) }
+      assert(wrong.length === 0, s"${s.name}: blocks off tsOf / 86400 + 1, first ${wrong.take(3).mkString(", ")}")
+      assert(days.map(_._2).distinct.toSeq === (1 to 365), s.name)
+    }
   }
 
   test("weeks are 1..53 with the (day-1)/7+1 convention") {

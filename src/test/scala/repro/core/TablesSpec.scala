@@ -170,6 +170,13 @@ class TablesSpec extends SparkSpec {
     }
   }
 
+  test("T1-T7 together read every cached attribution column, and no other") {
+    bAttrib.count(); eAttrib.count()
+    val plans = plansRun(reportTables.foreach { case (_, _, table) => Render.table(table()) })
+    val read = plans.flatMap(_.collect { case s: InMemoryTableScanExec => s.attributes.map(_.name) }).flatten.toSet
+    assert(read === bAttrib.columns.toSet, "a cached column no table reads only costs memory")
+  }
+
   /** Asserts that each named report table writes at most one shuffle record per attribution-table partition. */
   private def assertShuffleRecordsWithinPartitions(names: Set[String]): Unit = {
     bAttrib.count(); eAttrib.count()
