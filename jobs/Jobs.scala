@@ -45,13 +45,16 @@ object Run {
   /** A run's chains: base spec → (scaled spec, attribution table). */
   type Chains = ChainSpec => (ChainSpec, DataFrame)
 
+  /** A report table: its name and its titled outputs over a run's chains. */
+  type Table = (String, Chains => Seq[(String, DataFrame)])
+
   private val (btc, eth) = (ChainParams.btc2019, ChainParams.eth2019)
 
   private def perChain(title: String, build: (ChainSpec, DataFrame) => DataFrame)(c: Chains) =
     Seq(btc, eth).map(c).map { case (s, a) => s"$title — ${s.name}" -> build(s, a) }
 
   /** Report tables (DESIGN.md §4) in order: name → titled outputs. */
-  val tables: Seq[(String, Chains => Seq[(String, DataFrame)])] = Seq(
+  val tables: Seq[Table] = Seq(
     "T1" -> (c => Seq("T1 dataset summary" -> Tables.t1Dataset(Seq(c(btc), c(eth))))),
     "T2" -> (c => Seq("T2 Bitcoin fixed windows" -> Tables.fixedSummary(btc.name, c(btc)._2))),
     "T3" -> (c => Seq("T3 Ethereum fixed windows" -> Tables.fixedSummary(eth.name, c(eth)._2))),
@@ -62,7 +65,7 @@ object Run {
   )
 
   /** The tables and scale `args` ask for; throws a usage error otherwise. */
-  def parse(args: Array[String]): (Seq[(String, Chains => Seq[(String, DataFrame)])], Double) = {
+  def parse(args: Array[String]): (Seq[Table], Double) = {
     val selected = tables.filter(t => args.headOption.exists(a => a == t._1 || a == "all"))
     require(selected.nonEmpty && args.length <= 2, s"bad arguments '${args.mkString(" ")}': $usage")
     (selected, Jobs.scaleOf(args.lift(1)))
@@ -76,7 +79,11 @@ object Run {
       val s = base.scaled(scale)
       s -> BlockGenerator.attributions(spark, s).cache()
     })
-    try for ((_, outputs) <- selected; (title, df) <- outputs(chains)) println(s"\n== $title\n${Render.table(df)}")
+    try render(selected, chains).foreach(println)
     finally spark.stop()
   }
+
+  /** The printed blocks of `selected` over `chains`, in order: each output's title, then its table. */
+  def render(selected: Seq[Table], chains: Chains): Iterator[String] =
+    for ((_, outputs) <- selected.iterator; (title, df) <- outputs(chains).iterator) yield s"\n== $title\n${Render.table(df)}"
 }

@@ -38,16 +38,4 @@ object Anomaly {
   /** Number of extreme windows for a metric. */
   def countExtremes(series: DataFrame, metric: String, z: Double = 2.0): Long =
     extremes(series, metric, z).count()
-
-  /** One row per series: its keys, `results` (its number of windows) and,
-    * per metric column (gini, entropy, nakamoto), its number of extreme
-    * windows.
-    */
-  def extremeCounts(series: DataFrame, z: Double = 2.0): DataFrame = {
-    val keys = Metrics.keys(series).map(col)
-    series
-      .select(keys ++ Metrics.names.map(m => extremeZ(keys, m, z).as(m)): _*)
-      .groupBy(keys: _*)
-      .agg(count(lit(1)).as("results"), Metrics.names.map(m => count(col(m)).as(m)): _*)
-  }
 }

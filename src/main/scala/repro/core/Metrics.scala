@@ -57,7 +57,10 @@ object Metrics {
     * blocks, `attributions` its summed producer counts.
     */
   private[core] final case class Measured(series: Int, window_id: Long, blocks: Long, producers: Long,
-      attributions: Long, gini: Double, entropy: Double, nakamoto: Int)
+      attributions: Long, gini: Double, entropy: Double, nakamoto: Int) {
+    /** The metric values, as [[Metrics.names]]. */
+    def metrics: Seq[Double] = Seq(gini, entropy, nakamoto.toDouble)
+  }
 
   private final class Count(var n: Long) extends Serializable
 
@@ -158,8 +161,9 @@ object Metrics {
     * every window of its range `(lo, hi)` of each series, then measures every window: an array
     * of `(series, window_id, blocks, producers, attributions, gini, entropy, nakamoto)` structs,
     * series by series in `ranges` order (numbered from 0), windows ascending, for `inline` to
-    * unnest. `blocks` counts a window's distinct non-null blocks, as SQL's `COUNT(DISTINCT)`: a
-    * null `block` (a null literal where blocks are not wanted) counts none. A null producer,
+    * unnest or the driver to collect (the fields of [[Measured]], in order). `blocks` counts a
+    * window's distinct non-null blocks, as SQL's `COUNT(DISTINCT)`: a null `block` (a null
+    * literal where blocks are not wanted) counts none. A null producer,
     * weight or range bound fails the query with a named error, as does a producer whose count is
     * not positive.
     */

@@ -15,9 +15,28 @@ class AnomalySpec extends SparkSpec {
     values.zipWithIndex.map { case (v, i) => (i.toLong, v) }.toDF("window_id", "gini")
   }
 
+  /** The number of extremes of `values` at `z`, asserting that T5's driver-side z-test counts
+    * as many as [[Anomaly.countExtremes]].
+    */
+  private def extremeCount(values: Seq[Double], z: Double): Long = {
+    val n = Anomaly.countExtremes(seriesOf(values), "gini", z)
+    assert(Tables.extremeCount(values, z) === n, s"z = $z over $values")
+    n
+  }
+
   test("no extremes in a constant series") {
-    val s = seriesOf(Seq.fill(20)(0.5))
-    assert(Anomaly.countExtremes(s, "gini", 2.0) === 0L)
+    assert(extremeCount(Seq.fill(20)(0.5), 2.0) === 0L)
+  }
+
+  test("a single window has no stddev and so no extreme") {
+    assert(extremeCount(Seq(0.7), 1.0) === 0L)
+  }
+
+  test("a value exactly z standard deviations from the mean is not extreme") {
+    // Mean 2 and sample stddev 2, exact in floating point: both ends lie exactly 1σ out.
+    val values = Seq(0.0, 2.0, 4.0)
+    assert(extremeCount(values, 1.0) === 0L)
+    assert(extremeCount(values, 0.5) === 2L)
   }
 
   test("a single spike is flagged with the right z-score sign") {
@@ -26,26 +45,29 @@ class AnomalySpec extends SparkSpec {
     assert(ex.length === 1)
     assert(ex.head.getLong(0) === 30L)
     assert(ex.head.getDouble(2) > 2.0)
+    assert(extremeCount(Seq.fill(30)(0.5) :+ 5.0, 2.0) === 1L)
   }
 
   test("a negative dip is flagged with negative z-score") {
     val s  = seriesOf(Seq.fill(30)(0.5) :+ -4.0)
     val ex = Anomaly.extremes(s, "gini", 2.0).collect()
     assert(ex.length === 1 && ex.head.getDouble(2) < -2.0)
+    assert(extremeCount(Seq.fill(30)(0.5) :+ -4.0, 2.0) === 1L)
   }
 
   test("threshold z controls sensitivity") {
-    val s = seriesOf(Seq(1, 1, 1, 1, 1, 1, 1, 1, 1, 2.2).map(_.toDouble))
-    assert(Anomaly.countExtremes(s, "gini", 1.0) >= 1L)
-    assert(Anomaly.countExtremes(s, "gini", 5.0) === 0L)
-    intercept[IllegalArgumentException](Anomaly.extremes(s, "gini", 0.0))
+    val values = Seq(1, 1, 1, 1, 1, 1, 1, 1, 1, 2.2).map(_.toDouble)
+    assert(extremeCount(values, 1.0) >= 1L)
+    assert(extremeCount(values, 5.0) === 0L)
+    intercept[IllegalArgumentException](Anomaly.extremes(seriesOf(values), "gini", 0.0))
   }
 
   test("works on integer metric columns (nakamoto)") {
     import spark.implicits._
-    val s = (Seq.fill(20)(4) :+ 40).zipWithIndex
-      .map { case (v, i) => (i.toLong, v) }.toDF("window_id", "nakamoto")
+    val values = Seq.fill(20)(4) :+ 40
+    val s = values.zipWithIndex.map { case (v, i) => (i.toLong, v) }.toDF("window_id", "nakamoto")
     assert(Anomaly.countExtremes(s, "nakamoto", 2.0) === 1L)
+    assert(Tables.extremeCount(values.map(_.toDouble), 2.0) === 1L)
   }
 
   test("paper §III-A scenario: cross-boundary dominance burst is caught only by sliding windows") {

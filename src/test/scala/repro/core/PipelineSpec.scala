@@ -3,11 +3,12 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.plans.physical.RangePartitioning
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import org.scalacheck.{Gen, Prop}
+import repro.{PropertyCheck, SparkSpec}
 import repro.chain.{BlockGenerator, ChainParams}
 
 /** End-to-end series and summary construction on a scaled BTC chain. */
-class PipelineSpec extends SparkSpec {
+class PipelineSpec extends SparkSpec with PropertyCheck {
 
   private lazy val spec   = ChainParams.btc2019.scaled(0.05) // 2,712 blocks
   private lazy val attrib: DataFrame =
@@ -97,6 +98,20 @@ class PipelineSpec extends SparkSpec {
     val giniMean = sum.where(col("metric") === "gini").first().getDouble(1)
     val direct   = series.agg(avg("gini")).first().getDouble(0)
     assert(math.abs(giniMean - direct) < 1e-12)
+  }
+
+  test("property: the driver-side summary equals Spark's avg, stddev_samp, min and max in one partition, bit for bit") {
+    import spark.implicits._
+    def bits(v: Option[Double]) = v.map(java.lang.Double.doubleToRawLongBits)
+    def agrees(xs: List[Double]): Boolean = {
+      val r = xs.toDF("x").coalesce(1).agg(avg("x"), stddev_samp("x"), min("x"), max("x")).first()
+      val s = Tables.summarize(xs).get
+      Seq(Some(s.mean), s.stddev, Some(s.min), Some(s.max)).map(bits) ===
+        (0 to 3).map(i => bits(Option(r.get(i)).map(_.asInstanceOf[Double])))
+    }
+    assert(agrees(List(0.25)) && Tables.summarize(List(0.25)).get.stddev.isEmpty, "one window has no stddev")
+    val value = Gen.oneOf(Gen.choose(0.0, 1.0), Gen.choose(-1e4, 1e4), Gen.choose(1, 200).map(_.toDouble))
+    checkProp(Prop.forAllNoShrink(Gen.choose(1, 400).flatMap(Gen.listOfN(_, value)))(agrees), minSuccessful = 30)
   }
 
   test("attributions per fixed window sum back to the table size") {

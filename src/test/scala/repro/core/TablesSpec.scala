@@ -2,9 +2,10 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.execution.SparkPlan
+import org.apache.spark.sql.execution.{GenerateExec, SortExec, SparkPlan}
 import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
+import org.apache.spark.sql.execution.window.WindowExec
 import org.apache.spark.sql.types.LongType
 import repro.{Oracle, SparkSpec}
 import repro.chain.{BlockGenerator, ChainParams, ChainSpec}
@@ -88,6 +89,12 @@ class TablesSpec extends SparkSpec {
   private def assertClose(got: Double, want: Double, what: String, tolerance: Double = 1e-12): Unit =
     assert(math.abs(got - want) <= tolerance, s"$what: $got vs $want")
 
+  /** A value with each `Double` as its raw bits, so equal values are bit-identical. */
+  private def bits(v: Any): Any = v match {
+    case d: Double => java.lang.Double.doubleToRawLongBits(d)
+    case v         => v
+  }
+
   test("T2/T3, T4 and T7 rows equal the statistics of each single Pipeline series") {
     val t7 = byKey(Tables.comparison(bAttrib, eAttrib), "granularity", "metric")
     for ((spec, attrib, side) <- Seq((bSpec, bAttrib, "btc"), (eSpec, eAttrib, "eth"))) {
@@ -102,17 +109,17 @@ class TablesSpec extends SparkSpec {
           val metric = w.getAs[String]("metric")
           val what   = s"${spec.name} ${g.name} $metric"
           val r = t23((g.name, metric))
-          for (c <- Seq("windows", "min", "max")) assert(r.getAs[Any](c) === w.getAs[Any](c), s"$what $c")
-          for (c <- Seq("mean", "stddev")) assertClose(r.getAs[Double](c), w.getAs[Double](c), s"$what $c")
+          for (c <- Seq("windows", "mean", "stddev", "min", "max"))
+            assert(bits(r.getAs[Any](c)) === bits(w.getAs[Any](c)), s"$what $c: ${r.getAs[Any](c)} vs ${w.getAs[Any](c)}")
           for (c <- Seq("mean", "stddev"))
-            assertClose(t7((g.name, metric)).getAs[Double](s"${side}_$c"), r.getAs[Double](c), s"T7 $what $c")
+            assert(bits(t7((g.name, metric)).getAs[Any](s"${side}_$c")) === bits(r.getAs[Any](c)), s"T7 $what $c")
         }
         val s = Pipeline.sliding(attrib, spec, g.slidingSize(spec))
           .agg(count(lit(1)), avg("gini"), avg("entropy"), avg(col("nakamoto").cast("double"))).first()
         val r = t4(g.name)
         assert(r.getAs[Long]("windows") === s.getLong(0), s"${spec.name} ${g.name} windows")
         for ((m, i) <- Metrics.names.zipWithIndex)
-          assertClose(r.getAs[Double](s"mean_$m"), s.getDouble(i + 1), s"${spec.name} ${g.name} mean_$m")
+          assert(bits(r.getAs[Double](s"mean_$m")) === bits(s.getDouble(i + 1)), s"${spec.name} ${g.name} mean_$m")
       }
     }
   }
@@ -152,6 +159,16 @@ class TablesSpec extends SparkSpec {
     val jobs = reportTables.map { case (name, _, table) => name -> jobsRun(Render.table(table())) }
     info(s"Spark jobs per table: ${jobs.map { case (t, n) => s"$t $n" }.mkString(", ")}")
     for ((name, n) <- jobs) assert(n === 1L, s"$name: $n Spark jobs, gate 1; all: $jobs")
+  }
+
+  test("T2-T7 end their Spark plans at the window aggregate: no sort, window function or generator") {
+    bAttrib.count(); eAttrib.count()
+    for ((name, _, table) <- reportTables if name != "T1") {
+      val ops = plansRun(Render.table(table())).flatMap(_.collect {
+        case p @ (_: SortExec | _: WindowExec | _: GenerateExec) => p.nodeName
+      })
+      assert(ops.isEmpty, s"$name runs ${ops.mkString(", ")}")
+    }
   }
 
   /** Whether `p` scans a cached relation before any other shuffle's output. */
@@ -221,8 +238,7 @@ class TablesSpec extends SparkSpec {
   }
 
   test("series and Metrics.all are bit-identical however the attribution table is partitioned") {
-    def bits(df: DataFrame): Seq[Seq[Any]] =
-      df.collect().toSeq.map(_.toSeq.map { case d: Double => java.lang.Double.doubleToRawLongBits(d); case v => v })
+    def rows(windows: Seq[Product]): Seq[Seq[Any]] = windows.map(_.productIterator.map(bits).toSeq)
     for ((spec, seed) <- Seq(bSpec, eSpec).flatMap(s => Seq(1L, 2L, 3L).map(s -> _))) {
       val attrib = BlockGenerator.attributions(spark, spec, seed).cache()
       val layouts = Seq(attrib, attrib.repartition(1), attrib.orderBy(rand(seed)).repartition(7))
@@ -233,7 +249,8 @@ class TablesSpec extends SparkSpec {
       val got = layouts.map { a =>
         val counts = FixedWindows.all.map(g => FixedWindows.counts(a, g).select(lit(g.name).as("granularity"), col("*")))
           .reduce(_ unionByName _)
-        (bits(Tables.seriesOf(Seq(spec.name -> a), series)), bits(Metrics.all(counts)).sortBy(_.toString))
+        (rows(Tables.windowsOf(Seq(a), series, col("block_number")).flatten.flatten),
+         Metrics.all(counts).collect().toSeq.map(_.toSeq.map(bits)).sortBy(_.toString))
       }
       assert(got.forall(_ == got.head), s"${spec.name} seed $seed")
       assert(got.head._1.size > 365 && got.head._2.size === 365 + 53 + 12)

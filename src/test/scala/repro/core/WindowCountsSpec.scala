@@ -6,7 +6,7 @@ import org.scalacheck.{Gen, Prop}
 import repro.{Oracle, PropertyCheck, SparkSpec}
 import repro.chain.{BlockGenerator, ChainParams}
 
-/** The report tables' metric series (`Tables.seriesOf`): one aggregation of the
+/** The report tables' measured windows (`Tables.windowsOf`): one aggregation of the
   * attribution table that counts each row into every window of each series,
   * against two references: `Pipeline.series` over the per-block window counts
   * `FixedWindows.counts` / `SlidingWindows.counts`, and `LocalMetrics` over
@@ -30,6 +30,12 @@ class WindowCountsSpec extends SparkSpec with PropertyCheck {
     rows.toDF("idx", "miner", "day", "week", "month").repartition(3)
   }
 
+  /** The windowing mode of a series, as the references tag it. */
+  private def mode(s: Tables.Series): String = s match {
+    case _: Tables.Fixed   => "fixed"
+    case _: Tables.Sliding => "sliding"
+  }
+
   /** A series row with its doubles as raw bits, so equality is bit-identity. */
   private def bits(r: Row): Seq[Any] = r.toSeq.map { case d: Double => java.lang.Double.doubleToRawLongBits(d); case v => v }
 
@@ -49,7 +55,7 @@ class WindowCountsSpec extends SparkSpec with PropertyCheck {
       (j, members) <- rows.flatMap(r => windowsOf(s, r).map(_ -> r.getAs[String]("miner"))).groupBy(_._1)
     } yield {
       val xs = members.groupBy(_._2).values.map(_.size.toLong).toSeq.sorted
-      bits(Row("c", s.granularity, s.mode, j, xs.size.toLong, xs.sum,
+      bits(Row("c", s.granularity, mode(s), j, xs.size.toLong, xs.sum,
         LocalMetrics.gini(xs), LocalMetrics.entropy(xs), LocalMetrics.nakamoto(xs)))
     }).toSet
   }
@@ -64,11 +70,16 @@ class WindowCountsSpec extends SparkSpec with PropertyCheck {
     val attrib = attribFrame(s, perDay, seed)
     val sliding = sizes.zipWithIndex.map { case ((n, m), k) => Tables.Sliding(s"s$k", n, m, s) }
     val series = FixedWindows.all.map(Tables.Fixed) ++ sliding
-    val got = Tables.seriesOf(Seq("c" -> attrib), series).collect().toSeq.map(bits)
+    val Seq(windows) = Tables.windowsOf(Seq(attrib), series)
+    val got = series.zip(windows).flatMap { case (w, ws) =>
+      ws.map(m => bits(Row("c", w.granularity, mode(w), m.window_id, m.producers, m.attributions, m.gini, m.entropy, m.nakamoto)))
+    }
     val counts = (FixedWindows.all.map(g => tagged(g.name, "fixed", FixedWindows.counts(attrib, g))) ++
       sliding.map(w => tagged(w.granularity, "sliding", SlidingWindows.counts(attrib, w.n, w.m, s))))
       .reduce(_ unionByName _)
-    got == Pipeline.series(counts).collect().toSeq.map(bits) && got.size == got.toSet.size &&
+    def sorted(rows: Seq[Seq[Any]]) = rows.sortBy(_.toString)
+    windows.forall(ws => ws.map(_.window_id) == ws.map(_.window_id).sorted) &&
+      sorted(got) == sorted(Pipeline.series(counts).collect().toSeq.map(bits)) && got.size == got.toSet.size &&
       got.toSet == local(attrib, series)
   }
 
