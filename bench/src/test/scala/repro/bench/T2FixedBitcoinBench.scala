@@ -1,7 +1,8 @@
 package repro.bench
 
 import org.apache.spark.sql.functions._
-import repro.core.{FixedWindows, Pipeline, Tables}
+import repro.TestPipeline
+import repro.core.{FixedWindows, Tables}
 import repro.util.Render
 
 /** T2 — Bitcoin fixed-window metric summaries (paper Figs. 1–3):
@@ -35,7 +36,7 @@ class T2FixedBitcoinBench extends BenchSpec {
   }
 
   test("T2: monthly Gini reaches ~0.8-0.9 early in the year (Fig. 1)") {
-    val monthly = Pipeline.fixed(btcAttrib, FixedWindows.Monthly)
+    val monthly = TestPipeline.fixed(btcAttrib, FixedWindows.Monthly)
     val firstQuarter = monthly.where(col("window_id") <= 3)
       .agg(max("gini")).first().getDouble(0)
     assert(firstQuarter > 0.78, s"Q1 monthly gini max $firstQuarter (paper ≈ 0.90)")
@@ -48,7 +49,7 @@ class T2FixedBitcoinBench extends BenchSpec {
   }
 
   test("T2: Nakamoto stable at 4 mid-year with early spikes > 35 (Fig. 3)") {
-    val daily = Pipeline.fixed(btcAttrib, FixedWindows.Daily).cache()
+    val daily = TestPipeline.fixed(btcAttrib, FixedWindows.Daily).cache()
     val midMode = daily.where(col("window_id").between(100, 260))
       .groupBy("nakamoto").count().orderBy(desc("count")).first().getInt(0)
     assert(midMode === 4)

@@ -1,6 +1,7 @@
 package repro.bench
 
 import org.apache.spark.sql.functions._
+import repro.TestPipeline
 import repro.core.{FixedWindows, Pipeline, Tables}
 import repro.util.Render
 
@@ -37,20 +38,20 @@ class T3FixedEthereumBench extends BenchSpec {
   }
 
   test("T3: Nakamoto fluctuates between 2 and 3 only (Fig. 6)") {
-    val daily = Pipeline.fixed(ethAttrib, FixedWindows.Daily)
+    val daily = TestPipeline.fixed(ethAttrib, FixedWindows.Daily)
     val vals = daily.select("nakamoto").distinct().collect().map(_.getInt(0)).toSet
     assert(vals === Set(2, 3), s"got $vals")
   }
 
   test("T3: no abnormal values during the year (paper §II-C-2d)") {
-    val daily = Pipeline.fixed(ethAttrib, FixedWindows.Daily)
+    val daily = TestPipeline.fixed(ethAttrib, FixedWindows.Daily)
     import repro.core.Anomaly
     assert(Anomaly.countExtremes(daily, "entropy", 4.0) === 0L)
     assert(Anomaly.countExtremes(daily, "gini", 4.0) === 0L)
   }
 
   test("T3: Ethereum metrics are more stable than Bitcoin's (paper conclusion)") {
-    val btcDailyStd = Pipeline.summary(Pipeline.fixed(btcAttrib, FixedWindows.Daily))
+    val btcDailyStd = Pipeline.summary(TestPipeline.fixed(btcAttrib, FixedWindows.Daily))
       .where(col("metric") === "entropy").first().getDouble(2)
     assert(stat("day", "entropy", "stddev") < btcDailyStd)
   }

@@ -1,7 +1,8 @@
 package repro.bench
 
 import org.apache.spark.sql.functions._
-import repro.core.{Anomaly, Pipeline, Tables}
+import repro.TestPipeline
+import repro.core.{Anomaly, Tables}
 import repro.util.Render
 
 /** T5 — what sliding windows reveal that fixed windows miss (paper Figs. 9
@@ -37,9 +38,9 @@ class T5AnomalyRevealBench extends BenchSpec {
 
   test("T5: sliding magnifies the daily entropy extremes (paper: >5.0 values doubled)") {
     val spec = BenchData.btcSpec
-    val fixedHigh = Pipeline.fixed(btcAttrib, repro.core.FixedWindows.Daily)
+    val fixedHigh = TestPipeline.fixed(btcAttrib, repro.core.FixedWindows.Daily)
       .where(col("entropy") > 5.0).count()
-    val slidingHigh = Pipeline.sliding(btcAttrib, spec, spec.slidingDay)
+    val slidingHigh = TestPipeline.sliding(btcAttrib, spec, spec.slidingDay)
       .where(col("entropy") > 5.0).count()
     assert(slidingHigh >= 2L * fixedHigh,
       s"sliding $slidingHigh vs fixed $fixedHigh high-entropy windows")
@@ -56,7 +57,7 @@ class T5AnomalyRevealBench extends BenchSpec {
 
   test("T5: BTC extremes are violent, ETH extremes are noise (z-magnitude)") {
     def maxZ(attrib: org.apache.spark.sql.DataFrame): Double = {
-      val s = Pipeline.fixed(attrib, repro.core.FixedWindows.Daily)
+      val s = TestPipeline.fixed(attrib, repro.core.FixedWindows.Daily)
       val r = s.agg(avg("entropy"), stddev_samp(col("entropy")), max("entropy")).first()
       (r.getDouble(2) - r.getDouble(0)) / r.getDouble(1)
     }

@@ -1,6 +1,7 @@
 package repro.bench
 
 import org.apache.spark.sql.functions._
+import repro.TestPipeline
 import repro.core.{FixedWindows, Tables}
 import repro.util.Render
 
@@ -56,7 +57,7 @@ class T6Day14CaseBench extends BenchSpec {
   }
 
   test("T6: weekly fixed window dampens the anomaly (motivation for sliding windows)") {
-    val weekly = repro.core.Pipeline.fixed(btcAttrib, FixedWindows.Weekly)
+    val weekly = TestPipeline.fixed(btcAttrib, FixedWindows.Weekly)
     val w2 = weekly.where(col("window_id") === 2L).first() // days 8-14
     val daily14 = t6.where(col("label") === "day_14").first()
     assert(w2.getDouble(w2.fieldIndex("entropy")) <

@@ -67,13 +67,4 @@ object BlockGenerator {
       .withColumn("week", ((day - 1) / lit(7)).cast(IntegerType) + lit(1))
       .withColumn("month", month(date_add(to_date(lit("2019-01-01")), day - 1)))
   }
-
-  /** Calendar month (1–12) of a 1-based day-of-year in a non-leap year —
-    * Scala mirror of the DataFrame expression, used by tests.
-    */
-  def monthOfDay(day: Int): Int = {
-    require(day >= 1 && day <= 365, s"bad day $day")
-    val cum = Array(31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334, 365)
-    cum.indexWhere(day <= _) + 1
-  }
 }

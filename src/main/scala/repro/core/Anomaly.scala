@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 /** Extreme-value detection over metric series — formalizes the paper's §III-B
@@ -12,28 +11,25 @@ import org.apache.spark.sql.functions._
   */
 object Anomaly {
 
-  /** The z-test of `metric` in each window: its z-score against its series (the rows sharing
-    * its `keys`) where it lies more than `z` sample stddevs from the series mean, else null.
+  /** The z-test of `metric` in each window: its z-score against the whole series where it lies
+    * more than `z` sample stddevs from the series mean, else null.
     */
-  private def extremeZ(keys: Seq[Column], metric: String, z: Double): Column = {
+  private def extremeZ(metric: String, z: Double): Column = {
     require(z > 0, s"bad z threshold $z")
     val x     = col(metric).cast("double")
-    val mu    = avg(x).over(Window.partitionBy(keys: _*))
-    val sigma = stddev_samp(x).over(Window.partitionBy(keys: _*))
+    val mu    = avg(x).over()
+    val sigma = stddev_samp(x).over()
     when(sigma > 0 && abs(x - mu) > sigma * lit(z), (x - mu) / sigma)
   }
 
-  /** Windows whose `metric` value is more than `z` standard deviations from
-    * their series mean. Returns `(keys…, window_id, value, zscore)`.
+  /** Windows of the metric series `series` whose `metric` value is more than `z` standard
+    * deviations from the series mean. Returns `(window_id, value, zscore)`.
     */
-  def extremes(series: DataFrame, metric: String, z: Double = 2.0): DataFrame = {
-    val keys = Metrics.keys(series).map(col)
+  def extremes(series: DataFrame, metric: String, z: Double = 2.0): DataFrame =
     series
-      .select(keys ++ Seq(col("window_id"), col(metric).cast("double").as("value"),
-        extremeZ(keys, metric, z).as("zscore")): _*)
+      .select(col("window_id"), col(metric).cast("double").as("value"), extremeZ(metric, z).as("zscore"))
       .where(col("zscore").isNotNull)
-      .orderBy(keys :+ col("window_id"): _*)
-  }
+      .orderBy("window_id")
 
   /** Number of extreme windows for a metric. */
   def countExtremes(series: DataFrame, metric: String, z: Double = 2.0): Long =

@@ -29,13 +29,6 @@ object Metrics {
   /** The metric columns of a series, in report order. */
   val names: Seq[String] = Seq("gini", "entropy", "nakamoto")
 
-  private val notKeys: Set[String] = Set("window_id", "miner", "cnt", "producers", "attributions") ++ names
-
-  /** The series keys of a window-counts frame or a metric series: every column but the
-    * window id, the producer counts, the window population and the metrics (none: one series).
-    */
-  def keys(df: DataFrame): Seq[String] = df.columns.toSeq.filterNot(notKeys)
-
   /** Nakamoto threshold: the share (in percent) a coalition must reach. */
   private val MajorityPct = 51L
 
@@ -44,6 +37,7 @@ object Metrics {
   private val CountsMustBePositive = "block counts must be positive"
   private val NullProducer         = "a producer (miner) must not be null"
   private val NullWindow           = "a window id must not be null"
+  private val OneSeries            = "a window-counts frame must have exactly the columns window_id, miner and cnt"
 
   /** One input row of [[Windows]]: a producer, the number of attributions it counts for (its
     * weight), its block number (no block when null) and, per series, the window-id range
@@ -171,19 +165,21 @@ object Metrics {
     udaf(new Windows(ranges.size)).apply(miner, weight.cast(LongType), block.cast(LongType),
       array(ranges.map(_._1.cast(LongType)): _*), array(ranges.map(_._2.cast(LongType)): _*))
 
-  /** All three metrics plus window population stats from a window-counts frame
-    * `(keys…, window_id: Long, miner: String, cnt: Long)`, one row per window:
-    * `(keys…, window_id, producers, attributions, gini, entropy, nakamoto)`.
+  /** All three metrics plus window population stats from the window-counts frame of one series
+    * `(window_id: Long, miner: String, cnt: Long)`, one row per window:
+    * `(window_id, producers, attributions, gini, entropy, nakamoto)`.
     *
     * A producer may have several rows in a window (partial counts); they add up. A summed
     * count that is null or not positive fails the query, as in [[LocalMetrics]]; so does a
-    * null producer or window id.
+    * null producer or window id. A frame with any other column fails with a named error rather
+    * than measuring several series as one.
     */
   def all(counts: DataFrame): DataFrame = {
-    val keys = Metrics.keys(counts).map(col)
+    require(counts.columns.sorted.sameElements(Array("cnt", "miner", "window_id")),
+      s"$OneSeries, not ${counts.columns.mkString(", ")}")
     val window = col("window_id")
-    counts.groupBy(keys: _*).agg(windows(Seq(window -> window), col("miner"), col("cnt"), lit(null)).as("m"))
-      .select(keys :+ inline(col("m")): _*)
+    counts.agg(windows(Seq(window -> window), col("miner"), col("cnt"), lit(null)).as("m"))
+      .select(inline(col("m")))
       .drop("series", "blocks")
   }
 }

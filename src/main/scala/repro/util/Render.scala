@@ -6,17 +6,15 @@ import org.apache.spark.sql.DataFrame
 object Render {
 
   private def fmt(v: Any): String = v match {
-    case null                         => "∅"
-    case d: Double                    => f"$d%.4f"
-    case f: Float                     => f"${f.toDouble}%.4f"
-    case bd: java.math.BigDecimal     => f"${bd.doubleValue}%.4f"
-    case x                            => x.toString
+    case null      => "∅"
+    case d: Double => f"$d%.4f"
+    case x         => x.toString
   }
 
-  /** Render a DataFrame as an aligned text table (collects up to `maxRows`). */
-  def table(df: DataFrame, maxRows: Int = 1000): String = {
+  /** Render a DataFrame as an aligned text table of all its rows. */
+  def table(df: DataFrame): String = {
     val header = df.columns.toSeq
-    val rows   = df.limit(maxRows).collect().toSeq.map(r => header.indices.map(i => fmt(r.get(i))))
+    val rows   = df.collect().toSeq.map(r => header.indices.map(i => fmt(r.get(i))))
     val widths = header.indices.map(i => (header(i).length +: rows.map(_(i).length)).max)
     def line(cells: Seq[String]): String =
       cells.zip(widths).map { case (c, w) => c.padTo(w, ' ') }.mkString("| ", " | ", " |")

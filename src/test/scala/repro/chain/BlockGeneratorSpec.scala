@@ -4,7 +4,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.execution.{RangeExec, UnionExec}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{IntegerType, LongType, StringType}
-import repro.SparkSpec
+import repro.{SparkSpec, TestPipeline}
 import repro.core.Tables
 
 /** The synthetic-chain generator: determinism, schema, calendar columns,
@@ -125,7 +125,7 @@ class BlockGeneratorSpec extends SparkSpec {
   test("months match the non-leap 2019 calendar") {
     val got = attrib.select("day", "month").distinct()
       .collect().map(r => r.getInt(0) -> r.getInt(1))
-    for ((d, m) <- got) assert(m === BlockGenerator.monthOfDay(d), s"day $d")
+    for ((d, m) <- got) assert(m === TestPipeline.monthOfDay(d), s"day $d")
     // spot calendar boundaries
     val byDay = got.toMap
     assert(byDay(31) === 1); assert(byDay(32) === 2)
@@ -175,7 +175,7 @@ class BlockGeneratorSpec extends SparkSpec {
   }
 
   test("monthOfDay rejects out-of-range days") {
-    intercept[IllegalArgumentException](BlockGenerator.monthOfDay(0))
-    intercept[IllegalArgumentException](BlockGenerator.monthOfDay(366))
+    intercept[IllegalArgumentException](TestPipeline.monthOfDay(0))
+    intercept[IllegalArgumentException](TestPipeline.monthOfDay(366))
   }
 }

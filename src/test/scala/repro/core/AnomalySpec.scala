@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import repro.{SparkSpec, TestPipeline}
 import repro.chain._
 
 /** Extreme-value detection, including the paper's §III-A motivating scenario:
@@ -120,10 +120,10 @@ class AnomalySpec extends SparkSpec {
       .withColumn("week", ((col("day") - 1) / 7).cast("int") + 1)
     val total = 28L * blocksPerDay
 
-    val fixedSeries = Pipeline.series(
+    val fixedSeries = TestPipeline.series(
       attrib.groupBy(col("week").cast("long").as("window_id"), col("miner"))
         .agg(count(lit(1)).as("cnt")))
-    val slidingSeries = Pipeline.series(
+    val slidingSeries = TestPipeline.series(
       SlidingWindows.counts(attrib, 7L * blocksPerDay, 7L * blocksPerDay / 2, total))
 
     val minNakFixed   = fixedSeries.agg(min("nakamoto")).first().getInt(0)

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkSpec, TestPipeline}
 import repro.chain.{BlockGenerator, ChainParams}
 
 /** Calendar bucketing of the attribution table, checked against hand-counted
@@ -94,6 +94,6 @@ class FixedWindowsSpec extends SparkSpec {
   test("month mapping agrees with the Scala mirror for all 365 days") {
     val got = attrib.select("day", "month").distinct()
       .collect().map(r => r.getInt(0) -> r.getInt(1)).toMap
-    for ((d, m) <- got) assert(m === BlockGenerator.monthOfDay(d), s"day $d")
+    for ((d, m) <- got) assert(m === TestPipeline.monthOfDay(d), s"day $d")
   }
 }

@@ -91,6 +91,13 @@ class MetricsEdgeSpec extends SparkSpec {
       "a window id must not be null", "null window id")
   }
 
+  test("a counts frame with a column besides window_id, miner and cnt fails instead of being measured as one series") {
+    import spark.implicits._
+    val tagged = Seq((1L, "a", 3L, "day"), (1L, "a", 2L, "week"), (1L, "b", 1L, "week"))
+      .toDF("window_id", "miner", "cnt", "granularity")
+    assertFails(tagged, "a window-counts frame must have exactly the columns window_id, miner and cnt", "granularity")
+  }
+
   /** Asserts that `Metrics.all(counts)` fails with an error whose message (or a cause's) contains `message`. */
   private def assertFails(counts: DataFrame, message: String, what: String): Unit = {
     val e = intercept[Exception](Metrics.all(counts).collect())

@@ -4,7 +4,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.plans.physical.RangePartitioning
 import org.apache.spark.sql.functions._
 import org.scalacheck.{Gen, Prop}
-import repro.{PropertyCheck, SparkSpec}
+import repro.{PropertyCheck, SparkSpec, TestPipeline}
 import repro.chain.{BlockGenerator, ChainParams}
 
 /** End-to-end series and summary construction on a scaled BTC chain. */
@@ -15,38 +15,38 @@ class PipelineSpec extends SparkSpec with PropertyCheck {
     BlockGenerator.attributions(spark, spec, seed = 13L).cache()
 
   test("fixed daily series has one row per day with all metric columns") {
-    val s = Pipeline.fixed(attrib, FixedWindows.Daily)
+    val s = TestPipeline.fixed(attrib, FixedWindows.Daily)
     assert(s.count() === 365L)
     assert(s.columns.toSet ===
       Set("window_id", "producers", "attributions", "gini", "entropy", "nakamoto"))
   }
 
   test("fixed weekly and monthly series have 53 and 12 rows") {
-    assert(Pipeline.fixed(attrib, FixedWindows.Weekly).count() === 53L)
-    assert(Pipeline.fixed(attrib, FixedWindows.Monthly).count() === 12L)
+    assert(TestPipeline.fixed(attrib, FixedWindows.Weekly).count() === 53L)
+    assert(TestPipeline.fixed(attrib, FixedWindows.Monthly).count() === 12L)
   }
 
   test("sliding series length matches Eq. 5 with the default M = N/2") {
     val n = spec.slidingWeek
-    val s = Pipeline.sliding(attrib, spec, n)
+    val s = TestPipeline.sliding(attrib, spec, n)
     assert(s.count() === SlidingWindows.numWindows(spec.blockCount, n, n / 2))
   }
 
   test("sliding series with explicit step") {
     val n = spec.slidingWeek
-    val s = Pipeline.sliding(attrib, spec, n, m = n) // no overlap
+    val s = TestPipeline.sliding(attrib, spec, n, m = n) // no overlap
     assert(s.count() === SlidingWindows.numWindows(spec.blockCount, n, n))
   }
 
   test("sliding rejects a non-positive step instead of using M = N/2") {
     for (m <- Seq(0L, -5L)) {
-      val e = intercept[IllegalArgumentException](Pipeline.sliding(attrib, spec, spec.slidingWeek, m))
+      val e = intercept[IllegalArgumentException](TestPipeline.sliding(attrib, spec, spec.slidingWeek, m))
       assert(e.getMessage.contains("bad window/step"), m)
     }
   }
 
   test("series window_ids are ordered and unique") {
-    val ids = Pipeline.fixed(attrib, FixedWindows.Monthly)
+    val ids = TestPipeline.fixed(attrib, FixedWindows.Monthly)
       .select("window_id").collect().map(_.getLong(0))
     assert(ids.toSeq === ids.sorted.toSeq)
     assert(ids.distinct.length === ids.length)
@@ -55,13 +55,13 @@ class PipelineSpec extends SparkSpec with PropertyCheck {
   test("a day-sized sliding series from a repartitioned counts frame is strictly increasing") {
     val (n, m) = (spec.slidingDay, SlidingWindows.paperStep(spec.slidingDay))
     val counts = SlidingWindows.counts(attrib, n, m, spec.blockCount).repartition(16)
-    val ids = Pipeline.series(counts).select("window_id").collect().map(_.getLong(0))
+    val ids = TestPipeline.series(counts).select("window_id").collect().map(_.getLong(0))
     assert(ids.length.toLong === SlidingWindows.numWindows(spec.blockCount, n, m))
     assert(ids.sliding(2).forall { case Array(a, b) => a < b })
   }
 
   test("a series is ordered without a range shuffle, and its summary adds no exchange") {
-    for (s <- Seq(Pipeline.fixed(attrib, FixedWindows.Daily), Pipeline.sliding(attrib, spec, spec.slidingDay))) {
+    for (s <- Seq(TestPipeline.fixed(attrib, FixedWindows.Daily), TestPipeline.sliding(attrib, spec, spec.slidingDay))) {
       val shuffles = executedShuffles(s)
       assert(!shuffles.exists(_.outputPartitioning.isInstanceOf[RangePartitioning]))
       assert(executedShuffles(Pipeline.summary(s)).size === shuffles.size)
@@ -69,7 +69,7 @@ class PipelineSpec extends SparkSpec with PropertyCheck {
   }
 
   test("metric values are within their mathematical ranges everywhere") {
-    val s = Pipeline.fixed(attrib, FixedWindows.Daily).cache()
+    val s = TestPipeline.fixed(attrib, FixedWindows.Daily).cache()
     assert(s.where(col("gini") < 0 || col("gini") >= 1).count() === 0L)
     assert(s.where(col("entropy") < 0).count() === 0L)
     assert(s.where(col("nakamoto") < 1 || col("nakamoto") > col("producers")).count() === 0L)
@@ -78,7 +78,7 @@ class PipelineSpec extends SparkSpec with PropertyCheck {
   }
 
   test("summary has one row per metric with finite stats") {
-    val sum = Pipeline.summary(Pipeline.fixed(attrib, FixedWindows.Weekly))
+    val sum = Pipeline.summary(TestPipeline.fixed(attrib, FixedWindows.Weekly))
     val rows = sum.collect()
     assert(rows.map(_.getString(0)).sorted === Array("entropy", "gini", "nakamoto"))
     for (r <- rows) {
@@ -93,7 +93,7 @@ class PipelineSpec extends SparkSpec with PropertyCheck {
   }
 
   test("summary mean equals the hand-computed column average") {
-    val series = Pipeline.fixed(attrib, FixedWindows.Monthly).cache()
+    val series = TestPipeline.fixed(attrib, FixedWindows.Monthly).cache()
     val sum    = Pipeline.summary(series)
     val giniMean = sum.where(col("metric") === "gini").first().getDouble(1)
     val direct   = series.agg(avg("gini")).first().getDouble(0)
@@ -115,13 +115,13 @@ class PipelineSpec extends SparkSpec with PropertyCheck {
   }
 
   test("attributions per fixed window sum back to the table size") {
-    val s = Pipeline.fixed(attrib, FixedWindows.Daily)
+    val s = TestPipeline.fixed(attrib, FixedWindows.Daily)
     assert(s.agg(sum("attributions")).first().getLong(0) === attrib.count())
   }
 
   test("sliding attribution totals respect the overlap factor") {
     val n = spec.slidingMonth; val m = n / 2
-    val s = Pipeline.sliding(attrib, spec, n, m)
+    val s = TestPipeline.sliding(attrib, spec, n, m)
     val tot = s.agg(sum("attributions")).first().getLong(0)
     // Each interior block counted twice; bounded by 2 × attributions.
     assert(tot > attrib.count())

@@ -7,7 +7,7 @@ import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.execution.window.WindowExec
 import org.apache.spark.sql.types.LongType
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkSpec, TestPipeline}
 import repro.chain.{BlockGenerator, ChainParams, ChainSpec}
 import repro.util.Render
 
@@ -105,7 +105,7 @@ class TablesSpec extends SparkSpec {
       val t4  = Tables.slidingSummary(spec, attrib).collect().map(r => r.getAs[String]("window") -> r).toMap
       assert(t4.size === 3)
       for (g <- FixedWindows.all) {
-        for (w <- Pipeline.summary(Pipeline.fixed(attrib, g)).collect()) {
+        for (w <- Pipeline.summary(TestPipeline.fixed(attrib, g)).collect()) {
           val metric = w.getAs[String]("metric")
           val what   = s"${spec.name} ${g.name} $metric"
           val r = t23((g.name, metric))
@@ -114,7 +114,7 @@ class TablesSpec extends SparkSpec {
           for (c <- Seq("mean", "stddev"))
             assert(bits(t7((g.name, metric)).getAs[Any](s"${side}_$c")) === bits(r.getAs[Any](c)), s"T7 $what $c")
         }
-        val s = Pipeline.sliding(attrib, spec, g.slidingSize(spec))
+        val s = TestPipeline.sliding(attrib, spec, g.slidingSize(spec))
           .agg(count(lit(1)), avg("gini"), avg("entropy"), avg(col("nakamoto").cast("double"))).first()
         val r = t4(g.name)
         assert(r.getAs[Long]("windows") === s.getLong(0), s"${spec.name} ${g.name} windows")
@@ -247,10 +247,9 @@ class TablesSpec extends SparkSpec {
         Tables.Sliding(g.name, n, SlidingWindows.paperStep(n), spec.blockCount)
       }
       val got = layouts.map { a =>
-        val counts = FixedWindows.all.map(g => FixedWindows.counts(a, g).select(lit(g.name).as("granularity"), col("*")))
-          .reduce(_ unionByName _)
-        (rows(Tables.windowsOf(Seq(a), series, col("block_number")).flatten.flatten),
-         Metrics.all(counts).collect().toSeq.map(_.toSeq.map(bits)).sortBy(_.toString))
+        val measured = FixedWindows.all.flatMap(g =>
+          Metrics.all(FixedWindows.counts(a, g)).collect().toSeq.map(r => g.name +: r.toSeq.map(bits)))
+        (rows(Tables.windowsOf(Seq(a), series, col("block_number")).flatten.flatten), measured.sortBy(_.toString))
       }
       assert(got.forall(_ == got.head), s"${spec.name} seed $seed")
       assert(got.head._1.size > 365 && got.head._2.size === 365 + 53 + 12)
@@ -345,8 +344,8 @@ class TablesSpec extends SparkSpec {
       z -> rows.map(r => (r.getString(1), r.getString(2)) -> r).toMap
     }
     for (g <- FixedWindows.all) {
-      val fixedS   = Pipeline.fixed(bAttrib, g).cache()
-      val slidingS = Pipeline.sliding(bAttrib, bSpec, g.slidingSize(bSpec)).cache()
+      val fixedS   = TestPipeline.fixed(bAttrib, g).cache()
+      val slidingS = TestPipeline.sliding(bAttrib, bSpec, g.slidingSize(bSpec)).cache()
       for ((z, rows) <- t5; metric <- Metrics.names) {
         val want = Seq(fixedS.count(), Anomaly.countExtremes(fixedS, metric, z),
                        slidingS.count(), Anomaly.countExtremes(slidingS, metric, z))

@@ -3,12 +3,12 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.scalacheck.{Gen, Prop}
-import repro.{Oracle, PropertyCheck, SparkSpec}
+import repro.{Oracle, PropertyCheck, SparkSpec, TestPipeline}
 import repro.chain.{BlockGenerator, ChainParams}
 
 /** The report tables' measured windows (`Tables.windowsOf`): one aggregation of the
   * attribution table that counts each row into every window of each series,
-  * against two references: `Pipeline.series` over the per-block window counts
+  * against two references: `TestPipeline.series` over the per-block window counts
   * `FixedWindows.counts` / `SlidingWindows.counts`, and `LocalMetrics` over
   * per-block windows built in plain Scala from the collected rows (independent
   * of the aggregator, which `Metrics.all` shares). Also the distinct blocks the
@@ -60,9 +60,6 @@ class WindowCountsSpec extends SparkSpec with PropertyCheck {
     }).toSet
   }
 
-  private def tagged(granularity: String, mode: String, counts: DataFrame): DataFrame =
-    counts.select(lit("c").as("chain"), lit(granularity).as("granularity"), lit(mode).as("mode"), col("*"))
-
   /** Whether the table series of the day, week and month series and of sliding series of
     * the given (N, M) sizes, over `s` blocks, are bit-identical to both references.
     */
@@ -74,12 +71,16 @@ class WindowCountsSpec extends SparkSpec with PropertyCheck {
     val got = series.zip(windows).flatMap { case (w, ws) =>
       ws.map(m => bits(Row("c", w.granularity, mode(w), m.window_id, m.producers, m.attributions, m.gini, m.entropy, m.nakamoto)))
     }
-    val counts = (FixedWindows.all.map(g => tagged(g.name, "fixed", FixedWindows.counts(attrib, g))) ++
-      sliding.map(w => tagged(w.granularity, "sliding", SlidingWindows.counts(attrib, w.n, w.m, s))))
-      .reduce(_ unionByName _)
+    val references = series.flatMap { w =>
+      val counts = w match {
+        case Tables.Fixed(g)   => FixedWindows.counts(attrib, g)
+        case v: Tables.Sliding => SlidingWindows.counts(attrib, v.n, v.m, s)
+      }
+      TestPipeline.series(counts).collect().toSeq.map(r => Seq("c", w.granularity, mode(w)) ++ bits(r))
+    }
     def sorted(rows: Seq[Seq[Any]]) = rows.sortBy(_.toString)
     windows.forall(ws => ws.map(_.window_id) == ws.map(_.window_id).sorted) &&
-      sorted(got) == sorted(Pipeline.series(counts).collect().toSeq.map(bits)) && got.size == got.toSet.size &&
+      sorted(got) == sorted(references) && got.size == got.toSet.size &&
       got.toSet == local(attrib, series)
   }
 

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import repro.{SparkSpec, TestPipeline}
 import repro.chain.{BlockGenerator, ChainParams}
 
 /** Cross-mode consistency: the sliding machinery must degenerate to fixed
@@ -26,8 +26,8 @@ class WindowEquivalenceSpec extends SparkSpec {
 
   test("metrics agree between the two equivalent windowings") {
     val n = 100L
-    val a = Pipeline.series(SlidingWindows.counts(attrib, n, n, spec.blockCount))
-    val b = Pipeline.series(
+    val a = TestPipeline.series(SlidingWindows.counts(attrib, n, n, spec.blockCount))
+    val b = TestPipeline.series(
       attrib.withColumn("window_id", floor(col("idx") / n))
         .where(col("window_id") < SlidingWindows.numWindows(spec.blockCount, n, n))
         .groupBy("window_id", "miner").agg(count(lit(1)).as("cnt")))
@@ -55,8 +55,8 @@ class WindowEquivalenceSpec extends SparkSpec {
 
   test("fixed daily series equals sliding series built from day-bucket ids") {
     // Daily fixed windows are just a relabeling of day as window id.
-    val fixedS = Pipeline.fixed(attrib, FixedWindows.Daily)
-    val manual = Pipeline.series(
+    val fixedS = TestPipeline.fixed(attrib, FixedWindows.Daily)
+    val manual = TestPipeline.series(
       attrib.groupBy(col("day").cast("long").as("window_id"), col("miner"))
         .agg(count(lit(1)).as("cnt")))
     assert(fixedS.exceptAll(manual).count() === 0L)

@@ -2,7 +2,7 @@ package repro.integration
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import repro.{SparkSpec, TestPipeline}
 import repro.chain.{BlockGenerator, ChainParams}
 import repro.core._
 
@@ -14,9 +14,9 @@ class BtcPipelineSpec extends SparkSpec {
   private lazy val spec = ChainParams.btc2019
   private lazy val attrib: DataFrame =
     BlockGenerator.attributions(spark, spec, seed = 2019L).cache()
-  private lazy val daily   = Pipeline.fixed(attrib, FixedWindows.Daily).cache()
-  private lazy val weekly  = Pipeline.fixed(attrib, FixedWindows.Weekly).cache()
-  private lazy val monthly = Pipeline.fixed(attrib, FixedWindows.Monthly).cache()
+  private lazy val daily   = TestPipeline.fixed(attrib, FixedWindows.Daily).cache()
+  private lazy val weekly  = TestPipeline.fixed(attrib, FixedWindows.Weekly).cache()
+  private lazy val monthly = TestPipeline.fixed(attrib, FixedWindows.Monthly).cache()
 
   private def meanOf(s: DataFrame, m: String): Double =
     s.agg(avg(col(m).cast("double"))).first().getDouble(0)
@@ -83,7 +83,7 @@ class BtcPipelineSpec extends SparkSpec {
   }
 
   test("sliding daily averages sit near the fixed daily averages (paper §III-B)") {
-    val slide = Pipeline.sliding(attrib, spec, spec.slidingDay).cache()
+    val slide = TestPipeline.sliding(attrib, spec, spec.slidingDay).cache()
     assert(slide.count() === 752L)
     val (fd, sd) = (meanOf(daily, "entropy"), meanOf(slide, "entropy"))
     assert(math.abs(fd - sd) < 0.15, s"fixed $fd vs sliding $sd")
@@ -91,7 +91,7 @@ class BtcPipelineSpec extends SparkSpec {
 
   test("sliding entropy means rise with window size (paper: 3.810 → 4.002 → 4.091)") {
     val means = Seq(spec.slidingDay, spec.slidingWeek, spec.slidingMonth)
-      .map(n => meanOf(Pipeline.sliding(attrib, spec, n), "entropy"))
+      .map(n => meanOf(TestPipeline.sliding(attrib, spec, n), "entropy"))
     assert(means(0) < means(1) && means(1) < means(2), s"got $means")
     assert(means(0) > 3.3 && means(0) < 4.2)
   }

@@ -2,7 +2,7 @@ package repro.integration
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import repro.{SparkSpec, TestPipeline}
 import repro.chain.{BlockGenerator, ChainParams}
 import repro.core._
 
@@ -14,7 +14,7 @@ class EthPipelineSpec extends SparkSpec {
   private lazy val spec = ChainParams.eth2019.scaled(0.1)
   private lazy val attrib: DataFrame =
     BlockGenerator.attributions(spark, spec, seed = 2019L).cache()
-  private lazy val daily = Pipeline.fixed(attrib, FixedWindows.Daily).cache()
+  private lazy val daily = TestPipeline.fixed(attrib, FixedWindows.Daily).cache()
 
   private def meanOf(s: DataFrame, m: String): Double =
     s.agg(avg(col(m).cast("double"))).first().getDouble(0)
@@ -38,7 +38,7 @@ class EthPipelineSpec extends SparkSpec {
   }
 
   test("Fig. 4 shape: Gini is high and stable, monthly > daily") {
-    val monthly = Pipeline.fixed(attrib, FixedWindows.Monthly)
+    val monthly = TestPipeline.fixed(attrib, FixedWindows.Monthly)
     val (d, mo) = (meanOf(daily, "gini"), meanOf(monthly, "gini"))
     assert(d > 0.70, s"daily gini $d")
     assert(mo > d, s"monthly $mo should exceed daily $d")
@@ -53,7 +53,7 @@ class EthPipelineSpec extends SparkSpec {
   }
 
   test("sliding daily series matches Eq. 5 count and fixed-window averages") {
-    val slide = Pipeline.sliding(attrib, spec, spec.slidingDay).cache()
+    val slide = TestPipeline.sliding(attrib, spec, spec.slidingDay).cache()
     assert(slide.count() ===
       SlidingWindows.numWindows(spec.blockCount, spec.slidingDay, spec.slidingDay / 2))
     assert(math.abs(meanOf(slide, "entropy") - meanOf(daily, "entropy")) < 0.1)
