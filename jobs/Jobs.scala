@@ -59,7 +59,7 @@ object Run {
     "T2" -> (c => Seq("T2 Bitcoin fixed windows" -> Tables.fixedSummary(btc.name, c(btc)._2))),
     "T3" -> (c => Seq("T3 Ethereum fixed windows" -> Tables.fixedSummary(eth.name, c(eth)._2))),
     "T4" -> perChain("T4 sliding windows", Tables.slidingSummary),
-    "T5" -> perChain("T5 fixed vs sliding extremes", Tables.revealSummary(_, _)),
+    "T5" -> perChain("T5 fixed vs sliding extremes", Tables.revealSummary),
     "T6" -> (c => Seq("T6 Bitcoin day-14 case study" -> Tables.day14Case(c(btc)._2))),
     "T7" -> (c => Seq("T7 Bitcoin vs Ethereum" -> Tables.comparison(c(btc)._2, c(eth)._2))),
   )

@@ -40,12 +40,21 @@ object Metrics {
   private val OneSeries            = "a window-counts frame must have exactly the columns window_id, miner and cnt"
 
   /** One input row of [[Windows]]: a producer, the number of attributions it counts for (its
-    * weight), its block number (no block when null) and, per series, the window-id range
-    * `[lo(s), hi(s)]` it counts in (no window when lo > hi).
+    * weight), its block number (no block when null) and its positions, each distinct position
+    * column of the series once.
     */
   // Not `private`: Spark's generated encoder code cannot reach a private class.
   private[core] final case class Counted(miner: String, weight: java.lang.Long, block: java.lang.Long,
-      lo: Array[java.lang.Long], hi: Array[java.lang.Long])
+      pos: Array[java.lang.Long])
+
+  /** How a series places a row in windows from the row's position `p`: windows `first(p)` to
+    * `last(p)`, none when first > last. A [[Point]]'s one window is `p` (a calendar column or a
+    * window id); a [[Band]] is the `l` sliding windows of `n` positions advanced by `m` (Eq. 5).
+    */
+  private[core] sealed abstract class Rule(val first: Long => Long, val last: Long => Long) extends Serializable
+  private[core] case object Point extends Rule(p => p, p => p)
+  private[core] final case class Band(n: Long, m: Long, l: Long)
+      extends Rule(SlidingWindows.first(_, n, m), SlidingWindows.last(_, m, l))
 
   /** Window `window_id` of series number `series`, measured; `blocks` is its number of distinct
     * blocks, `attributions` its summed producer counts.
@@ -100,7 +109,7 @@ object Metrics {
     (gini, entropy, k)
   }
 
-  /** Per-producer counts and distinct blocks of every window of `series` series as one
+  /** Per-producer counts and distinct blocks of every window of every series as one
     * decomposable aggregate (partial buffers per task, merged by adding counts and OR-ing
     * blocks; Yu, Gunda & Isard, SOSP 2009), finished by measuring every window: one
     * [[Measured]] per (series, window), in that order.
@@ -110,7 +119,9 @@ object Metrics {
     * slower, and `Roaring64NavigableMap` fails in its cardinality after OR-merging bitmaps that
     * hold negative and positive numbers.
     */
-  private final class Windows(series: Int) extends Aggregator[Counted, Buffer, Seq[Measured]] {
+  private final class Windows(positions: Array[Int], rules: Array[Rule])
+      extends Aggregator[Counted, Buffer, Seq[Measured]] {
+    private val series = rules.length
 
     def zero: Buffer = Array.fill(series)(mutable.LongMap.empty[Contents])
 
@@ -120,10 +131,11 @@ object Metrics {
       val weight = in.weight.longValue
       var s = 0
       while (s < series) {
-        require(in.lo(s) != null && in.hi(s) != null, NullWindow)
-        var w = in.lo(s).longValue
-        val hi = in.hi(s).longValue
-        while (w <= hi) {
+        val p = in.pos(positions(s))
+        require(p != null, NullWindow)
+        var w = rules(s).first(p)
+        val last = rules(s).last(p)
+        while (w <= last) {
           val window = b(s).getOrElseUpdate(w, new Contents)
           window.producers.getOrElseUpdate(in.miner, new Count(0L)).n += weight
           if (in.block != null) window.add(in.block.longValue)
@@ -152,18 +164,20 @@ object Metrics {
   }
 
   /** The aggregate that counts each row `weight` times for `miner`, and its `block` once, in
-    * every window of its range `(lo, hi)` of each series, then measures every window: an array
+    * every window of each series: the windows its [[Rule]] gives the row's value of the series'
+    * position column, each distinct column read once. It then measures every window: an array
     * of `(series, window_id, blocks, producers, attributions, gini, entropy, nakamoto)` structs,
-    * series by series in `ranges` order (numbered from 0), windows ascending, for `inline` to
+    * series by series in `series` order (numbered from 0), windows ascending, for `inline` to
     * unnest or the driver to collect (the fields of [[Measured]], in order). `blocks` counts a
     * window's distinct non-null blocks, as SQL's `COUNT(DISTINCT)`: a null `block` (a null
-    * literal where blocks are not wanted) counts none. A null producer,
-    * weight or range bound fails the query with a named error, as does a producer whose count is
-    * not positive.
+    * literal where blocks are not wanted) counts none. A null producer, weight or position
+    * fails the query with a named error, as does a producer whose count is not positive.
     */
-  private[core] def windows(ranges: Seq[(Column, Column)], miner: Column, weight: Column, block: Column): Column =
-    udaf(new Windows(ranges.size)).apply(miner, weight.cast(LongType), block.cast(LongType),
-      array(ranges.map(_._1.cast(LongType)): _*), array(ranges.map(_._2.cast(LongType)): _*))
+  private[core] def windows(series: Seq[(Column, Rule)], miner: Column, weight: Column, block: Column): Column = {
+    val pos = series.map(_._1).distinct
+    udaf(new Windows(series.map(s => pos.indexOf(s._1)).toArray, series.map(_._2).toArray))
+      .apply(miner, weight.cast(LongType), block.cast(LongType), array(pos.map(_.cast(LongType)): _*))
+  }
 
   /** All three metrics plus window population stats from the window-counts frame of one series
     * `(window_id: Long, miner: String, cnt: Long)`, one row per window:
@@ -177,8 +191,7 @@ object Metrics {
   def all(counts: DataFrame): DataFrame = {
     require(counts.columns.sorted.sameElements(Array("cnt", "miner", "window_id")),
       s"$OneSeries, not ${counts.columns.mkString(", ")}")
-    val window = col("window_id")
-    counts.agg(windows(Seq(window -> window), col("miner"), col("cnt"), lit(null)).as("m"))
+    counts.agg(windows(Seq(col("window_id") -> Point), col("miner"), col("cnt"), lit(null)).as("m"))
       .select(inline(col("m")))
       .drop("series", "blocks")
   }

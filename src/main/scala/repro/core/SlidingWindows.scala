@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Sliding block-index windows — the paper's methodological contribution
@@ -23,37 +23,22 @@ object SlidingWindows {
     if (totalBlocks < n) 0L else (totalBlocks - n) / m + 1L
   }
 
-  /** `⌊a/b⌋` and `⌈a/b⌉` for `b > 0` in `Long` arithmetic: `a − pmod(a, b)` and `a + pmod(−a, b)`
-    * are multiples of `b`, so the integral division is exact for negative `a` too.
+  /** The first and last of the `l` windows of `n` positions advanced by `m` that hold position
+    * `p` (none when first > last): window `j` holds `[j·m, j·m + n)`, so `p` is in windows
+    * `⌈(p−n+1)/m⌉ … ⌊p/m⌋`, clamped to `[0, l−1]`. `Math.floorDiv` is exact for negative `p` too.
     */
-  private def floorDiv(a: Column, b: Long): Column = call_function("div", a - pmod(a, lit(b)), lit(b))
-  private def ceilDiv(a: Column, b: Long): Column  = call_function("div", a + pmod(-a, lit(b)), lit(b))
+  def first(p: Long, n: Long, m: Long): Long = math.max(0L, Math.floorDiv(p - n + m, m))
+  def last(p: Long, m: Long, l: Long): Long  = math.min(l - 1L, Math.floorDiv(p, m))
 
-  /** The windows containing block index `pos`, as the window-id range `[lo, hi]` (empty when
-    * `lo > hi`), for windows of `n` blocks advanced by `m` of which there are `l`. Window `j`
-    * holds blocks `[j·m, j·m + n)`, so `pos` is in windows `j ∈ [⌈(pos−n+1)/m⌉, ⌊pos/m⌋]`,
-    * clamped to `[0, l−1]`. A null `pos` gives a null range (`greatest`/`least` skip nulls, so
-    * the clamp alone would put it in every window).
-    */
-  private[core] def span(pos: Column, n: Long, m: Long, l: Long): (Column, Column) = {
-    def unlessNull(c: Column) = when(pos.isNotNull, c)
-    (unlessNull(greatest(lit(0L), ceilDiv(pos - lit(n - 1L), m))), unlessNull(least(lit(l - 1L), floorDiv(pos, m))))
-  }
-
-  /** Attribution rows replicated into every sliding window containing their
-    * block: adds `window_id`. Each block joins the windows of its [[span]] —
-    * with `M = N/2` at most 2. Implemented with `explode(sequence(lo, hi))`,
-    * the Catalyst form of a banded self-join. This is the per-block reference
+  /** Attribution rows replicated into every sliding window containing their block: adds
+    * `window_id`. One UDF gives each `idx` its windows [[first]] … [[last]] (with `M = N/2` at
+    * most 2), which `explode` unnests; a null `idx` gives none. This is the per-block reference
     * for the window counts the report tables aggregate without replicating rows.
     */
   def assign(attrib: DataFrame, n: Long, m: Long, totalBlocks: Long): DataFrame = {
-    val (lo, hi) = span(col("idx"), n, m, numWindows(totalBlocks, n, m))
-    attrib
-      .withColumn("w_lo", lo)
-      .withColumn("w_hi", hi)
-      .where(col("w_lo") <= col("w_hi"))
-      .withColumn("window_id", explode(sequence(col("w_lo"), col("w_hi"))))
-      .drop("w_lo", "w_hi")
+    val l = numWindows(totalBlocks, n, m)
+    val windows = udf((p: Long) => (first(p, n, m) to last(p, m, l)).toArray)
+    attrib.withColumn("window_id", explode(windows(col("idx"))))
   }
 
   /** Per-window per-producer block counts: `(window_id, miner, cnt)`. */

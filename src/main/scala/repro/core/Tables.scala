@@ -18,7 +18,7 @@ object Tables {
   def t1Dataset(chains: Seq[(ChainSpec, DataFrame)]): DataFrame =
     chains
       .map { case (spec, attrib) =>
-        val all = Metrics.windows(Seq(lit(0L) -> lit(0L)), col("miner"), lit(1L), col("block_number"))
+        val all = Metrics.windows(Seq(lit(0L) -> Metrics.Point), col("miner"), lit(1L), col("block_number"))
         // Fields read after the aggregation: reading two inside it would run the aggregate twice.
         def whole(c: String) = coalesce(col(s"whole.$c"), lit(0L)).as(c)
         attrib.agg(
@@ -52,20 +52,18 @@ object Tables {
   /** The measured windows of `series` over each attribution table of `chains`: per chain, per
     * series, its windows ascending, counting the distinct blocks of column `block` (none for a
     * null literal). Each chain is one global aggregation ([[Metrics.windows]]) over only `miner`
-    * and the columns its series read: a fixed series counts a row in window `[v, v]`, v its
-    * `day`, `week` or `month`; a sliding series in the windows [[SlidingWindows.span]] gives its
-    * `idx`. Each map task ships one buffer of per-window producer counts: one shuffle record per
-    * partition of the attribution table. The chains' aggregates are unioned and collected in
-    * one Spark job, one row per chain; the few hundred windows per series that follow are
-    * summarized on the driver.
+    * and the columns its series read: a fixed series counts a row in window v, its `day`, `week`
+    * or `month`; a sliding series in the windows of its band that hold its `idx`. Each map task
+    * ships one buffer of per-window producer counts: one shuffle record per partition of the
+    * attribution table. The chains' aggregates are unioned and collected in one Spark job, one
+    * row per chain; the few hundred windows per series that follow are summarized on the driver.
     */
   private[core] def windowsOf(chains: Seq[DataFrame], series: Seq[Series],
                               block: Column = lit(null)): Seq[Seq[Seq[Metrics.Measured]]] = {
-    val ranges = series.map {
-      case Fixed(g)   => val v = col(g.column); (v, v)
-      case s: Sliding => SlidingWindows.span(col("idx"), s.n, s.m, SlidingWindows.numWindows(s.blocks, s.n, s.m))
-    }
-    val measured = Metrics.windows(ranges, col("miner"), lit(1L), block)
+    val measured = Metrics.windows(series.map {
+      case Fixed(g)   => col(g.column) -> Metrics.Point
+      case s: Sliding => col("idx") -> Metrics.Band(s.n, s.m, SlidingWindows.numWindows(s.blocks, s.n, s.m))
+    }, col("miner"), lit(1L), block)
     chains.zipWithIndex.map { case (attrib, i) => attrib.agg(measured.as("w")).select(lit(i).as("chain"), col("w")) }
       .reduce(_ union _).collect().sortBy(_.getInt(0)).toSeq.map { r =>
         val windows = r.getSeq[Row](1).map(w => Metrics.Measured(w.getInt(0), w.getLong(1), w.getLong(2),
@@ -141,18 +139,20 @@ object Tables {
       "mean_gini", "mean_entropy", "mean_nakamoto")
   }
 
+  /** T5's z threshold: a window is extreme when it lies more than 2 sample stddevs from its series' mean. */
+  private[core] val ExtremeZ = 2.0
+
   /** T5 — information revealed by sliding vs fixed windows (paper Figs. 9/13
     * vs 2/3): per granularity and metric, the number of measurement results
-    * and of z-score extremes under each windowing mode. A series with no
-    * window (S < N) has 0 results and 0 extremes.
+    * and of extremes more than [[ExtremeZ]] standard deviations out under each
+    * windowing mode. A series with no window (S < N) has 0 results and 0 extremes.
     */
-  def revealSummary(spec: ChainSpec, attrib: DataFrame, z: Double = 2.0): DataFrame = {
-    require(z > 0, s"bad z threshold $z")
+  def revealSummary(spec: ChainSpec, attrib: DataFrame): DataFrame = {
     val Seq(windows) = windowsOf(Seq(attrib), fixedSeries ++ slidingSeries(spec))
     val (fixed, sliding) = windows.splitAt(fixedSeries.size)
     val rows = for ((g, (f, s)) <- fixedSeries.zip(fixed.zip(sliding)); (metric, i) <- Metrics.names.zipWithIndex)
-      yield (spec.name, g.granularity, metric, f.size.toLong, extremeCount(f.map(_.metrics(i)), z),
-             s.size.toLong, extremeCount(s.map(_.metrics(i)), z))
+      yield (spec.name, g.granularity, metric, f.size.toLong, extremeCount(f.map(_.metrics(i)), ExtremeZ),
+             s.size.toLong, extremeCount(s.map(_.metrics(i)), ExtremeZ))
     attrib.sparkSession.createDataFrame(rows).toDF("chain", "granularity", "metric",
       "results_fixed", "extremes_fixed", "results_sliding", "extremes_sliding")
   }

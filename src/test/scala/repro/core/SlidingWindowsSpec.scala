@@ -29,6 +29,26 @@ class SlidingWindowsSpec extends SparkSpec with PropertyCheck {
     intercept[IllegalArgumentException](SlidingWindows.numWindows(10L, 0L, 5L))
   }
 
+  test("first…last are exactly the windows holding p, for every p, N, M and S of a grid (no Spark)") {
+    // Negative p and p past the last window; N = 1, 2 and N not divisible by M; M > N (gapped);
+    // S < N (L = 0).
+    for (n <- 1L to 9L; m <- 1L to 11L; s <- 0L to 24L; p <- -12L to 36L) {
+      val l = SlidingWindows.numWindows(s, n, m)
+      val want = (0L until l).filter(j => j * m <= p && p < j * m + n)
+      assert((SlidingWindows.first(p, n, m) to SlidingWindows.last(p, m, l)) === want, s"p=$p N=$n M=$m S=$s")
+    }
+  }
+
+  test("a null idx is in no window of assign or counts") {
+    import spark.implicits._
+    val attrib = Seq[(Option[Long], String)]((Some(0L), "a"), (None, "b"), (Some(1L), "a")).toDF("idx", "miner")
+    // S = 3, N = 2, M = 1: window 0 = [0, 2), window 1 = [1, 3).
+    val assigned = SlidingWindows.assign(attrib, 2L, 1L, 3L).collect().map(r => (r.getLong(0), r.getLong(2))).toSet
+    assert(assigned === Set((0L, 0L), (1L, 0L), (1L, 1L)))
+    val counts = SlidingWindows.counts(attrib, 2L, 1L, 3L).collect().map(r => (r.getLong(0), r.getString(1), r.getLong(2)))
+    assert(counts.toSet === Set((0L, "a", 2L), (1L, "a", 1L)))
+  }
+
   private def idxFrame(s: Long) = {
     import spark.implicits._
     (0L until s).map(i => (i, i, s"m${i % 3}")).toDF("block_number", "idx", "miner")

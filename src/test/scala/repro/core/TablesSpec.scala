@@ -2,7 +2,9 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.catalyst.expressions.{CreateArray, Greatest, IntegralDivide, Least, Pmod}
 import org.apache.spark.sql.execution.{GenerateExec, SortExec, SparkPlan}
+import org.apache.spark.sql.execution.aggregate.BaseAggregateExec
 import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.execution.window.WindowExec
@@ -163,11 +165,22 @@ class TablesSpec extends SparkSpec {
 
   test("T2-T7 end their Spark plans at the window aggregate: no sort, window function or generator") {
     bAttrib.count(); eAttrib.count()
-    for ((name, _, table) <- reportTables if name != "T1") {
-      val ops = plansRun(Render.table(table())).flatMap(_.collect {
+    for ((name, _, table) <- reportTables) {
+      val plans = plansRun(Render.table(table()))
+      val ops = plans.flatMap(_.collect {
         case p @ (_: SortExec | _: WindowExec | _: GenerateExec) => p.nodeName
       })
-      assert(ops.isEmpty, s"$name runs ${ops.mkString(", ")}")
+      assert(name == "T1" || ops.isEmpty, s"$name runs ${ops.mkString(", ")}")
+      // Window membership is plain Scala inside the aggregator, not Catalyst arithmetic per row.
+      val arithmetic = plans.flatMap(_.collect { case p => p.expressions.flatMap(_.collect {
+        case e @ (_: Pmod | _: IntegralDivide | _: Greatest | _: Least) => e.nodeName
+      }) }.flatten)
+      assert(arithmetic.isEmpty, s"$name evaluates ${arithmetic.distinct.mkString(", ")}")
+      // T4's three sliding series read one position column, `idx`, once.
+      val positions = plans.flatMap(_.collect { case a: BaseAggregateExec =>
+        a.aggregateExpressions.flatMap(_.collect { case c: CreateArray => c.children.size })
+      }.flatten)
+      assert(name != "T4" || (positions.nonEmpty && positions.forall(_ == 1)), s"T4 aggregates position arrays of $positions")
     }
   }
 
@@ -338,26 +351,19 @@ class TablesSpec extends SparkSpec {
   }
 
   test("T5 revealSummary rows equal count() and countExtremes on the Pipeline series") {
-    val t5 = Seq(2.0, 1.0).map { z =>
-      val rows = Tables.revealSummary(bSpec, bAttrib, z).collect()
-      assert(rows.length === 9)
-      z -> rows.map(r => (r.getString(1), r.getString(2)) -> r).toMap
-    }
+    val rows = Tables.revealSummary(bSpec, bAttrib).collect()
+    assert(rows.length === 9)
+    val t5 = rows.map(r => (r.getString(1), r.getString(2)) -> r).toMap
     for (g <- FixedWindows.all) {
       val fixedS   = TestPipeline.fixed(bAttrib, g).cache()
       val slidingS = TestPipeline.sliding(bAttrib, bSpec, g.slidingSize(bSpec)).cache()
-      for ((z, rows) <- t5; metric <- Metrics.names) {
-        val want = Seq(fixedS.count(), Anomaly.countExtremes(fixedS, metric, z),
-                       slidingS.count(), Anomaly.countExtremes(slidingS, metric, z))
-        assert((3 to 6).map(rows((g.name, metric)).getLong) === want, s"z=$z ${g.name}/$metric")
+      for (metric <- Metrics.names) {
+        val want = Seq(fixedS.count(), Anomaly.countExtremes(fixedS, metric, Tables.ExtremeZ),
+                       slidingS.count(), Anomaly.countExtremes(slidingS, metric, Tables.ExtremeZ))
+        assert((3 to 6).map(t5((g.name, metric)).getLong) === want, s"${g.name}/$metric")
       }
       fixedS.unpersist(); slidingS.unpersist()
     }
-  }
-
-  test("T5 revealSummary rejects a non-positive z") {
-    val e = intercept[IllegalArgumentException](Tables.revealSummary(bSpec, bAttrib, z = 0.0))
-    assert(e.getMessage.contains("bad z threshold"))
   }
 
   test("T6 day14Case: day 14 stands out from the daily mean") {

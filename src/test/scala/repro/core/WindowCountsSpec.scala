@@ -12,7 +12,7 @@ import repro.chain.{BlockGenerator, ChainParams}
   * `FixedWindows.counts` / `SlidingWindows.counts`, and `LocalMetrics` over
   * per-block windows built in plain Scala from the collected rows (independent
   * of the aggregator, which `Metrics.all` shares). Also the distinct blocks the
-  * same aggregator counts per window, under sliding and fixed ranges.
+  * same aggregator counts per window, under sliding and fixed series.
   */
 class WindowCountsSpec extends SparkSpec with PropertyCheck {
 
@@ -110,10 +110,10 @@ class WindowCountsSpec extends SparkSpec with PropertyCheck {
     val attrib = BlockGenerator.attributions(spark, spec, 31L)
     val anomalous = spec.anomalies.map(a => spec.blockAtDay(a.day, a.frac) - spec.firstBlock)
     val sliding = FixedWindows.all.map { g => val n = g.slidingSize(spec); (n, SlidingWindows.paperStep(n)) }
-    val ranges = FixedWindows.all.map { g => val v = col(g.column); (v, v) } ++ sliding.map { case (n, m) =>
-      SlidingWindows.span(col("idx"), n, m, SlidingWindows.numWindows(spec.blockCount, n, m))
+    val series = FixedWindows.all.map(g => col(g.column) -> Metrics.Point) ++ sliding.map { case (n, m) =>
+      col("idx") -> Metrics.Band(n, m, SlidingWindows.numWindows(spec.blockCount, n, m))
     }
-    val measured = attrib.select(inline(Metrics.windows(ranges, col("miner"), lit(1L), col("block_number"))))
+    val measured = attrib.select(inline(Metrics.windows(series, col("miner"), lit(1L), col("block_number"))))
       .select("series", "window_id", "blocks", "attributions").cache()
     for (((n, m), k) <- sliding.zipWithIndex) {
       val windows = measured.where(col("series") === FixedWindows.all.size + k).collect()
