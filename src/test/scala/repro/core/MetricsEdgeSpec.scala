@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types._
 import repro.SparkSpec
 
 /** Edge-case behaviour of the metric kernel: ties, huge windows, the 51%
@@ -20,6 +21,17 @@ class MetricsEdgeSpec extends SparkSpec {
   private def gini(r: Row): Double    = r.getDouble(r.fieldIndex("gini"))
   private def entropy(r: Row): Double = r.getDouble(r.fieldIndex("entropy"))
   private def nakamoto(r: Row): Int   = r.getInt(r.fieldIndex("nakamoto"))
+
+  test("Metrics.all has a fixed schema, orders windows by window_id and measures no rows as no rows") {
+    val schema = StructType(Seq("window_id" -> LongType, "producers" -> LongType, "attributions" -> LongType,
+      "gini" -> DoubleType, "entropy" -> DoubleType, "nakamoto" -> IntegerType).map { case (c, t) => StructField(c, t) })
+    val rows = for (w <- Seq(5L, -2L, 40L, 0L, 7L); i <- 0 until 3) yield (w, s"m$i", w.abs + i + 1L)
+    val all = Metrics.all(countsDf(rows).repartition(3))
+    assert(all.schema === schema)
+    assert(all.collect().map(_.getLong(0)).toSeq === Seq(-2L, 0L, 5L, 7L, 40L))
+    val empty = Metrics.all(countsDf(Nil))
+    assert(empty.schema === schema && empty.collect().isEmpty)
+  }
 
   test("gini with all-tied counts is exactly 0 regardless of tie order") {
     assert(gini(only((1 to 50).map(i => (0L, s"m$i", 7L)))) === 0.0)

@@ -307,6 +307,50 @@ class TablesSpec extends SparkSpec {
     }
   }
 
+  /** T1–T7 over the attribution tables `b` of [[bSpec]] and `e` of [[eSpec]], T4 and T5 for both
+    * chains: each table's rows in order, with each `Double` as its raw bits.
+    */
+  private def allTables(b: DataFrame, e: DataFrame): Seq[(String, Seq[Seq[Any]])] =
+    Seq(
+      "T1" -> Tables.t1Dataset(Seq(bSpec -> b, eSpec -> e)),
+      "T2" -> Tables.fixedSummary(bSpec.name, b), "T3" -> Tables.fixedSummary(eSpec.name, e),
+      "T4 bitcoin" -> Tables.slidingSummary(bSpec, b), "T4 ethereum" -> Tables.slidingSummary(eSpec, e),
+      "T5 bitcoin" -> Tables.revealSummary(bSpec, b), "T5 ethereum" -> Tables.revealSummary(eSpec, e),
+      "T6" -> Tables.day14Case(b), "T7" -> Tables.comparison(b, e),
+    ).map { case (name, t) => name -> t.collect().toSeq.map(_.toSeq.map(bits)) }
+
+  test("relabeling producers by a bijection leaves T1-T7 bit-identical") {
+    def relabeled(a: DataFrame) = a.withColumn("miner", concat(lit("r"), reverse(col("miner")))).cache()
+    val (b, e) = (relabeled(bAttrib), relabeled(eAttrib))
+    assert(b.select("miner").distinct().count() === bAttrib.select("miner").distinct().count())
+    for (((name, want), (_, got)) <- allTables(bAttrib, eAttrib).zip(allTables(b, e))) assert(got === want, name)
+    b.unpersist(); e.unpersist()
+  }
+
+  test("repeating every attribution row 3 times multiplies attributions by 3 and leaves every other T1-T7 value bit-identical") {
+    def repeated(a: DataFrame) = a.union(a).union(a).cache()
+    val (b, e) = (repeated(bAttrib), repeated(eAttrib))
+    def scaled(name: String, rows: Seq[Seq[Any]]): Seq[Seq[Any]] = name match {
+      case "T1" => rows.map(r => r.updated(2, r(2).asInstanceOf[Long] * 3L))
+      case "T6" => rows.map(r => if (r.head == "daily_mean") r else r.updated(3, r(3).asInstanceOf[Long] * 3L))
+      case _    => rows
+    }
+    for (((name, want), (_, got)) <- allTables(bAttrib, eAttrib).zip(allTables(b, e))) name match {
+      case "T6" =>
+        // The daily mean of the tripled counts is truncated once: 3·⌊m⌋ ≤ ⌊3·m⌋ ≤ 3·⌊m⌋ + 2.
+        val (mean, days) = got.partition(_.head == "daily_mean")
+        val (wantMean, wantDays) = want.partition(_.head == "daily_mean")
+        assert(days === scaled(name, wantDays), name)
+        assert(mean.map(_.patch(3, Nil, 1)) === wantMean.map(_.patch(3, Nil, 1)), name)
+        for ((g, w) <- mean.zip(wantMean)) {
+          val (a, m) = (g(3).asInstanceOf[Long], w(3).asInstanceOf[Long])
+          assert(a >= 3L * m && a <= 3L * m + 2L, s"$name daily_mean attributions $a vs $m")
+        }
+      case _ => assert(got === scaled(name, want), name)
+    }
+    b.unpersist(); e.unpersist()
+  }
+
   test("T2/T3 fixedSummary: 3 granularities × 3 metrics") {
     val t2 = Tables.fixedSummary("bitcoin", bAttrib)
     assert(t2.count() === 9L)

@@ -1,5 +1,9 @@
 package repro.core
 
+import java.io.{ByteArrayOutputStream, DataOutputStream}
+import java.lang.Double.doubleToRawLongBits
+import java.security.MessageDigest
+import scala.io.{Codec, Source}
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.scalacheck.{Gen, Prop}
@@ -12,7 +16,8 @@ import repro.chain.{BlockGenerator, ChainParams}
   * `FixedWindows.counts` / `SlidingWindows.counts`, and `LocalMetrics` over
   * per-block windows built in plain Scala from the collected rows (independent
   * of the aggregator, which `Metrics.all` shares). Also the distinct blocks the
-  * same aggregator counts per window, under sliding and fixed series.
+  * same aggregator counts per window, under sliding and fixed series, and a committed digest of
+  * every window of the scaled chains.
   */
 class WindowCountsSpec extends SparkSpec with PropertyCheck {
 
@@ -135,5 +140,40 @@ class WindowCountsSpec extends SparkSpec with PropertyCheck {
         .mkString(" UNION ALL "),
       "a" -> attrib.select("block_number", "day", "week", "month"))
     measured.unpersist()
+  }
+
+  /** A SHA-256 over every window of `ws`, in order: its window id, blocks, producers and
+    * attributions, the raw bits of its Gini and entropy, and its Nakamoto coefficient.
+    */
+  private def digest(ws: Seq[Metrics.Measured]): String = {
+    val bytes = new ByteArrayOutputStream
+    val out = new DataOutputStream(bytes)
+    for (w <- ws) {
+      Seq(w.window_id, w.blocks, w.producers, w.attributions, doubleToRawLongBits(w.gini), doubleToRawLongBits(w.entropy))
+        .foreach(out.writeLong)
+      out.writeInt(w.nakamoto)
+    }
+    MessageDigest.getInstance("SHA-256").digest(bytes.toByteArray).map(b => f"$b%02x").mkString
+  }
+
+  test("every window of the scaled chains equals the committed per-series digest") {
+    // One line per chain and series: its window count and the digest of its windows, so a
+    // diff names the series that moved, however little its 4-decimal summaries move.
+    val lines = for (base <- Seq(ChainParams.btc2019, ChainParams.eth2019)) yield {
+      val spec = base.scaled(0.01)
+      val attrib = BlockGenerator.attributions(spark, spec, 2019L).cache()
+      val sliding = FixedWindows.all.map { g =>
+        val n = g.slidingSize(spec)
+        Tables.Sliding(g.name, n, SlidingWindows.paperStep(n), spec.blockCount)
+      }
+      val series = FixedWindows.all.map(Tables.Fixed) ++ sliding
+      val Seq(windows) = Tables.windowsOf(Seq(attrib), series)
+      val Seq(Seq(daily)) = Tables.windowsOf(Seq(attrib), Seq(Tables.Fixed(FixedWindows.Daily)), col("block_number"))
+      attrib.unpersist()
+      (series.map(s => s"${mode(s)} ${s.granularity}") :+ "fixed day with blocks").zip(windows :+ daily)
+        .map { case (name, ws) => s"${spec.name} $name ${ws.size} ${digest(ws)}" }
+    }
+    val got = lines.flatten.mkString("", "\n", "\n")
+    assert(got === Source.fromResource("windows-0.01.txt")(Codec.UTF8).mkString)
   }
 }
