@@ -11,12 +11,12 @@ object Jobs {
 
   /** The one session definition, used by `Run`, the benchmark and the tests.
     *
-    * Adaptive query execution is off. Each report table's only exchange is
-    * one global aggregation per chain into a single partition, so AQE has no
-    * partitions to coalesce and no join to convert or split; all it would do
-    * is submit each shuffle stage as a Spark job of its own and re-plan
-    * between them. Without it a table runs as one job: its map stages and
-    * its result stage are scheduled together.
+    * Adaptive query execution is off. The report tables shuffle nothing, but
+    * the Spark reference paths do (the per-block window counts, the summary
+    * and z-test of `Pipeline` and `Anomaly`). AQE would submit each of their
+    * shuffle stages as a Spark job of its own and re-plan between them, so the
+    * plans and job counts the tests inspect would depend on run-time
+    * statistics. Without it, each query runs the plan it was given.
     */
   def session(app: String): SparkSession =
     SparkSession.builder

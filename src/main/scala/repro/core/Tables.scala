@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, Row}
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.chain.ChainSpec
 
@@ -11,26 +11,25 @@ import repro.chain.ChainSpec
 object Tables {
 
   /** T1 — dataset summary (paper §II-A): block/attribution/producer counts
-    * and block-number range per chain, each chain one global aggregation.
-    * Blocks and producers are those of one window holding the whole table; an
-    * empty table has no window, so 0 of each.
+    * and block-number range per chain. One window holding the whole table
+    * (`lit(0)` as a `Point`) gives blocks, attributions, producers and the
+    * range of its block bitmaps; the daily series gives the days. Both chains
+    * are folded in one Spark job. An empty table has no window: 0 of each
+    * count and no range.
     */
-  def t1Dataset(chains: Seq[(ChainSpec, DataFrame)]): DataFrame =
-    chains
-      .map { case (spec, attrib) =>
-        val all = Metrics.windows(Seq(lit(0L) -> Metrics.Point), col("miner"), lit(1L), col("block_number"))
-        // Fields read after the aggregation: reading two inside it would run the aggregate twice.
-        def whole(c: String) = coalesce(col(s"whole.$c"), lit(0L)).as(c)
-        attrib.agg(
-          try_element_at(all, lit(1)).as("whole"),
-          count(lit(1)).as("attributions"),
-          min("block_number").as("first_block"),
-          max("block_number").as("last_block"),
-          size(collect_set("day")).cast("long").as("days"),
-        ).select(lit(spec.name).as("chain"), whole("blocks"), col("attributions"), whole("producers"),
-          col("first_block"), col("last_block"), col("days"))
-      }
-      .reduce(_ unionByName _)
+  def t1Dataset(chains: Seq[(ChainSpec, DataFrame)]): DataFrame = {
+    val measured = Metrics.windows(chains.map(_._2), Seq(lit(0L) -> Metrics.Point, col("day") -> Metrics.Point),
+      col("miner"), lit(1L), col("block_number"))
+    val rows = chains.zip(measured).map { case ((spec, _), series) =>
+      val Seq(whole, days) = series
+      def count(f: Metrics.Measured => Long) = whole.headOption.fold(0L)(f)
+      val range = whole.headOption.flatMap(_.blockRange)
+      (spec.name, count(_.blocks), count(_.attributions), count(_.producers), range.map(_._1), range.map(_._2),
+       days.size.toLong)
+    }
+    chains.head._2.sparkSession.createDataFrame(rows)
+      .toDF("chain", "blocks", "attributions", "producers", "first_block", "last_block", "days")
+  }
 
   /** A series of a report table: the windows of one granularity under one windowing mode. */
   private[core] sealed abstract class Series(val granularity: String)
@@ -51,26 +50,18 @@ object Tables {
 
   /** The measured windows of `series` over each attribution table of `chains`: per chain, per
     * series, its windows ascending, counting the distinct blocks of column `block` (none for a
-    * null literal). Each chain is one global aggregation ([[Metrics.windows]]) over only `miner`
-    * and the columns its series read: a fixed series counts a row in window v, its `day`, `week`
-    * or `month`; a sliding series in the windows of its band that hold its `idx`. Each map task
-    * ships one buffer of per-window producer counts: one shuffle record per partition of the
-    * attribution table. The chains' aggregates are unioned and collected in one Spark job, one
-    * row per chain; the few hundred windows per series that follow are summarized on the driver.
+    * null literal). [[Metrics.windows]] folds only `miner` and the columns the series read: a
+    * fixed series counts a row in window v, its `day`, `week` or `month`; a sliding series in
+    * the windows of its band that hold its `idx`. The chains are unioned into one Spark job
+    * whose tasks each return one buffer of per-window producer counts; the driver merges and
+    * measures them, and the few hundred windows per series that follow are summarized there too.
     */
   private[core] def windowsOf(chains: Seq[DataFrame], series: Seq[Series],
-                              block: Column = lit(null)): Seq[Seq[Seq[Metrics.Measured]]] = {
-    val measured = Metrics.windows(series.map {
+                              block: Column = lit(null)): Seq[Seq[Seq[Metrics.Measured]]] =
+    Metrics.windows(chains, series.map {
       case Fixed(g)   => col(g.column) -> Metrics.Point
       case s: Sliding => col("idx") -> Metrics.Band(s.n, s.m, SlidingWindows.numWindows(s.blocks, s.n, s.m))
     }, col("miner"), lit(1L), block)
-    chains.zipWithIndex.map { case (attrib, i) => attrib.agg(measured.as("w")).select(lit(i).as("chain"), col("w")) }
-      .reduce(_ union _).collect().sortBy(_.getInt(0)).toSeq.map { r =>
-        val windows = r.getSeq[Row](1).map(w => Metrics.Measured(w.getInt(0), w.getLong(1), w.getLong(2),
-          w.getLong(3), w.getLong(4), w.getDouble(5), w.getDouble(6), w.getInt(7))).groupBy(_.series)
-        series.indices.map(windows.getOrElse(_, Nil))
-      }
-  }
 
   /** Summary statistics of one metric over a series: the mean, sample standard deviation (none
     * for one window), minimum and maximum of its values.
@@ -160,7 +151,7 @@ object Tables {
   /** T6 — the day-14 Bitcoin case study (paper §II-C-1d): daily metrics for
     * days 12–16 in that order, then the all-year daily mean, with true block
     * counts (an anomalous day has far more attributions than blocks). The daily
-    * series, blocks per day included, is one global aggregation; each count
+    * series, blocks per day included, is one fold of the table; each count
     * column's mean is truncated to a whole number.
     */
   def day14Case(attrib: DataFrame): DataFrame = {

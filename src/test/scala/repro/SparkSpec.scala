@@ -4,11 +4,11 @@ import java.util.UUID
 import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
 import java.util.concurrent.atomic.AtomicLong
 import scala.jdk.CollectionConverters._
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import scala.collection.mutable
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.execution.{QueryExecution, SparkPlan}
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
-import org.apache.spark.sql.execution.metric.SQLShuffleWriteMetricsReporter
 import org.apache.spark.sql.util.QueryExecutionListener
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -26,11 +26,8 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   override def afterAll(): Unit = { super.afterAll() }
 
   /** Runs `df` once and returns the shuffle exchanges its executed plan ran. */
-  def executedShuffles(df: DataFrame): Seq[ShuffleExchangeExec] = shufflesRun(df.collect())
-
-  /** The shuffle exchanges run by the queries `body` executes. */
-  def shufflesRun(body: => Any): Seq[ShuffleExchangeExec] =
-    plansRun(body).flatMap(_.collect { case e: ShuffleExchangeExec => e })
+  def executedShuffles(df: DataFrame): Seq[ShuffleExchangeExec] =
+    plansRun(df.collect()).flatMap(_.collect { case e: ShuffleExchangeExec => e })
 
   /** The executed plans of the queries `body` runs (a report table may
     * collect a query of its own before it returns). Query events arrive
@@ -56,22 +53,35 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
     started.get
   }
 
-  /** Runs `body` under a job group of its own, calling `onJob` for each job it
-    * starts, and returns once every listener on the shared queue has seen the
-    * events `body` caused. They arrive asynchronously but in order, so that
-    * holds once a marker job submitted after `body` has been seen.
+  /** The tasks that the jobs `body` starts run, and how many of them return a result to the
+    * driver: a result task's value rather than a shuffle map task's output.
     */
-  private def drained(body: => Any, onJob: () => Unit = () => ()): Unit = {
+  def tasksRun(body: => Any): (Long, Long) = {
+    val (tasks, results) = (new AtomicLong, new AtomicLong)
+    drained(body, onTask = e => { tasks.incrementAndGet(); if (e.taskType == "ResultTask") results.incrementAndGet() })
+    (tasks.get, results.get)
+  }
+
+  /** Runs `body` under a job group of its own, calling `onJob` for each job it
+    * starts and `onTask` for each task of those jobs that ends, and returns once
+    * every listener on the shared queue has seen the events `body` caused. They
+    * arrive asynchronously but in order, so that holds once a marker job
+    * submitted after `body` has been seen.
+    */
+  private def drained(body: => Any, onJob: () => Unit = () => (), onTask: SparkListenerTaskEnd => Unit = _ => ()): Unit = {
     val sc = spark.sparkContext
     val group = s"counted-${UUID.randomUUID()}"
     val seen = new CountDownLatch(1)
     val listener = new SparkListener {
+      // Events reach a listener on one thread, so the stages need no lock.
+      private val stages = mutable.Set.empty[Int]
       override def onJobStart(e: SparkListenerJobStart): Unit =
         Option(e.properties).flatMap(p => Option(p.getProperty("spark.jobGroup.id"))) match {
-          case Some(`group`)                => onJob()
+          case Some(`group`)                => stages ++= e.stageIds; onJob()
           case Some(g) if g == s"$group.end" => seen.countDown()
           case _                            => ()
         }
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit = if (stages(e.stageId)) onTask(e)
     }
     def inGroup(g: String)(f: => Any): Unit = {
       sc.setJobGroup(g, g)
@@ -84,10 +94,6 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
       assert(seen.await(60, TimeUnit.SECONDS), "the listener never saw the marker job")
     } finally sc.removeSparkListener(listener)
   }
-
-  /** Records written by a shuffle exchange that has run. */
-  def recordsWritten(e: ShuffleExchangeExec): Long =
-    e.metrics(SQLShuffleWriteMetricsReporter.SHUFFLE_RECORDS_WRITTEN).value
 }
 
 object SparkSpec {

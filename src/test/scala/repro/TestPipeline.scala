@@ -6,8 +6,9 @@ import repro.core.{FixedWindows, Metrics, SlidingWindows}
 
 /** The Spark reference path, one series per call: per-block window counts (`FixedWindows.counts`,
   * `SlidingWindows.counts`), then [[Metrics.all]], in window order. The report tables measure
-  * the same series in one aggregation per chain (`Tables.windowsOf`); tests check them against
-  * these series and build Spark series of their own from them.
+  * the same series straight from the attribution table, one fold per partition merged on the
+  * driver (`Tables.windowsOf`); tests check them against these series and build Spark series of
+  * their own from them.
   */
 object TestPipeline {
 

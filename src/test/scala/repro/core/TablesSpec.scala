@@ -2,8 +2,8 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.catalyst.expressions.{CreateArray, Greatest, IntegralDivide, Least, Pmod}
-import org.apache.spark.sql.execution.{GenerateExec, SortExec, SparkPlan}
+import org.apache.spark.sql.catalyst.expressions.{Greatest, IntegralDivide, Least, Pmod}
+import org.apache.spark.sql.execution.{GenerateExec, SortExec}
 import org.apache.spark.sql.execution.aggregate.BaseAggregateExec
 import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
@@ -78,12 +78,6 @@ class TablesSpec extends SparkSpec {
       "a" -> attrib)
   }
 
-  test("T1 shuffles fewer records than a tenth of its distinct blocks") {
-    val blocks = bSpec.blockCount + eSpec.blockCount
-    val written = executedShuffles(Tables.t1Dataset(Seq(bSpec -> bAttrib, eSpec -> eAttrib))).map(recordsWritten).sum
-    assert(written > 0L && written * 10L < blocks, s"$written shuffle records for $blocks blocks")
-  }
-
   /** Rows of a report table by (granularity or window, metric). */
   private def byKey(t: DataFrame, g: String, m: String): Map[(String, String), Row] =
     t.collect().map(r => (r.getAs[String](g), r.getAs[String](m)) -> r).toMap
@@ -145,7 +139,7 @@ class TablesSpec extends SparkSpec {
     attrib.unpersist()
   }
 
-  /** The report tables, with the attribution tables they aggregate. */
+  /** The report tables, with the attribution tables they fold. */
   private lazy val reportTables = Seq(
     ("T1", Seq(bAttrib, eAttrib), () => Tables.t1Dataset(Seq(bSpec -> bAttrib, eSpec -> eAttrib))),
     ("T2", Seq(bAttrib), () => Tables.fixedSummary(bSpec.name, bAttrib)),
@@ -171,32 +165,25 @@ class TablesSpec extends SparkSpec {
         case p @ (_: SortExec | _: WindowExec | _: GenerateExec) => p.nodeName
       })
       assert(name == "T1" || ops.isEmpty, s"$name runs ${ops.mkString(", ")}")
-      // Window membership is plain Scala inside the aggregator, not Catalyst arithmetic per row.
+      // Window membership is plain Scala inside the fold, not Catalyst arithmetic per row.
       val arithmetic = plans.flatMap(_.collect { case p => p.expressions.flatMap(_.collect {
         case e @ (_: Pmod | _: IntegralDivide | _: Greatest | _: Least) => e.nodeName
       }) }.flatten)
       assert(arithmetic.isEmpty, s"$name evaluates ${arithmetic.distinct.mkString(", ")}")
-      // T4's three sliding series read one position column, `idx`, once.
-      val positions = plans.flatMap(_.collect { case a: BaseAggregateExec =>
-        a.aggregateExpressions.flatMap(_.collect { case c: CreateArray => c.children.size })
-      }.flatten)
-      assert(name != "T4" || (positions.nonEmpty && positions.forall(_ == 1)), s"T4 aggregates position arrays of $positions")
+      // T4's three sliding series read one position column, `idx`, besides the producer.
+      val read = plans.flatMap(_.collect { case s: InMemoryTableScanExec => s.attributes.map(_.name) }.flatten)
+      assert(name != "T4" || read.sorted == Seq("idx", "miner"), s"T4 reads ${read.mkString(", ")}")
     }
   }
 
-  /** Whether `p` scans a cached relation before any other shuffle's output. */
-  private def scansCache(p: SparkPlan): Boolean = p match {
-    case _: InMemoryTableScanExec => true
-    case _: ShuffleExchangeExec   => false
-    case _                        => p.children.exists(scansCache)
-  }
-
-  test("each count table aggregates each chain's cached attribution table in one shuffle") {
+  test("T1-T7 scan each cached chain once, with no shuffle and no aggregate") {
     bAttrib.count(); eAttrib.count()
     for ((name, attribs, table) <- reportTables) {
-      val shuffles = shufflesRun(Render.table(table()))
-      assert(shuffles.size === attribs.size && shuffles.forall(e => scansCache(e.child)),
-        s"$name: ${shuffles.size} executed shuffles, ${shuffles.count(e => scansCache(e.child))} read a cached table")
+      val plans = plansRun(Render.table(table()))
+      val ops = plans.flatMap(_.collect { case p @ (_: ShuffleExchangeExec | _: BaseAggregateExec) => p.nodeName })
+      assert(ops.isEmpty, s"$name runs ${ops.mkString(", ")}")
+      val scans = plans.flatMap(_.collect { case s: InMemoryTableScanExec => s })
+      assert(scans.size === attribs.size, s"$name: ${scans.size} scans of cached tables for ${attribs.size} chains")
     }
   }
 
@@ -207,22 +194,13 @@ class TablesSpec extends SparkSpec {
     assert(read === bAttrib.columns.toSet, "a cached column no table reads only costs memory")
   }
 
-  /** Asserts that each named report table writes at most one shuffle record per attribution-table partition. */
-  private def assertShuffleRecordsWithinPartitions(names: Set[String]): Unit = {
+  test("T1-T7 run one task per attribution-table partition, each returning one result") {
     bAttrib.count(); eAttrib.count()
-    for ((name, attribs, table) <- reportTables if names(name)) {
-      val written = shufflesRun(Render.table(table())).map(recordsWritten).sum
+    for ((name, attribs, table) <- reportTables) {
+      val (tasks, results) = tasksRun(Render.table(table()))
       val partitions = attribs.map(_.rdd.getNumPartitions).sum
-      assert(written > 0L && written <= partitions, s"$name: $written shuffle records, $partitions partitions")
+      assert(tasks === partitions && results === tasks, s"$name: $tasks tasks, $results results, $partitions partitions")
     }
-  }
-
-  test("T2-T5 and T7 write no more shuffle records than their attribution tables have partitions") {
-    assertShuffleRecordsWithinPartitions(Set("T2", "T3", "T4", "T5", "T7"))
-  }
-
-  test("T1 and T6 write no more shuffle records than their attribution tables have partitions") {
-    assertShuffleRecordsWithinPartitions(Set("T1", "T6"))
   }
 
   test("a null window column fails a report table instead of being measured") {

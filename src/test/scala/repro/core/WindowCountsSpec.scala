@@ -10,14 +10,14 @@ import org.scalacheck.{Gen, Prop}
 import repro.{Oracle, PropertyCheck, SparkSpec, TestPipeline}
 import repro.chain.{BlockGenerator, ChainParams}
 
-/** The report tables' measured windows (`Tables.windowsOf`): one aggregation of the
+/** The report tables' measured windows (`Tables.windowsOf`): one fold of the
   * attribution table that counts each row into every window of each series,
   * against two references: `TestPipeline.series` over the per-block window counts
   * `FixedWindows.counts` / `SlidingWindows.counts`, and `LocalMetrics` over
   * per-block windows built in plain Scala from the collected rows (independent
-  * of the aggregator, which `Metrics.all` shares). Also the distinct blocks the
-  * same aggregator counts per window, under sliding and fixed series, and a committed digest of
-  * every window of the scaled chains.
+  * of the fold, which `Metrics.all` shares). Also the distinct blocks the
+  * same fold counts per window, under sliding and fixed series, and a
+  * committed digest of every window of the scaled chains.
   */
 class WindowCountsSpec extends SparkSpec with PropertyCheck {
 
@@ -118,28 +118,26 @@ class WindowCountsSpec extends SparkSpec with PropertyCheck {
     val series = FixedWindows.all.map(g => col(g.column) -> Metrics.Point) ++ sliding.map { case (n, m) =>
       col("idx") -> Metrics.Band(n, m, SlidingWindows.numWindows(spec.blockCount, n, m))
     }
-    val measured = attrib.select(inline(Metrics.windows(series, col("miner"), lit(1L), col("block_number"))))
-      .select("series", "window_id", "blocks", "attributions").cache()
-    for (((n, m), k) <- sliding.zipWithIndex) {
-      val windows = measured.where(col("series") === FixedWindows.all.size + k).collect()
-        .map(r => (r.getLong(1), r.getLong(2), r.getLong(3))).toSeq
-      assert(windows.map(_._1) === (0L until SlidingWindows.numWindows(spec.blockCount, n, m)), s"N=$n")
-      for ((j, blocks, attributions) <- windows) {
-        val anomaly = anomalous.exists(i => j * m <= i && i < j * m + n)
-        assert(blocks === n && attributions >= blocks && (attributions == blocks) === !anomaly, s"N=$n window $j")
+    val Seq(measured) = Metrics.windows(Seq(attrib), series, col("miner"), lit(1L), col("block_number"))
+    val (fixed, slid) = measured.splitAt(FixedWindows.all.size)
+    for (((n, m), windows) <- sliding.zip(slid)) {
+      assert(windows.map(_.window_id) === (0L until SlidingWindows.numWindows(spec.blockCount, n, m)), s"N=$n")
+      for (w <- windows) {
+        val anomaly = anomalous.exists(i => w.window_id * m <= i && i < w.window_id * m + n)
+        assert(w.blocks === n && w.attributions >= w.blocks && (w.attributions == w.blocks) === !anomaly,
+          s"N=$n window ${w.window_id}")
       }
-      assert(windows.exists(w => w._3 > w._2) && windows.exists(w => w._3 == w._2), s"N=$n")
+      assert(windows.exists(w => w.attributions > w.blocks) && windows.exists(w => w.attributions == w.blocks), s"N=$n")
     }
-    val granularity = element_at(array(FixedWindows.all.map(g => lit(g.name)): _*), col("series") + 1)
+    import spark.implicits._
     Oracle.assertEquivalent(
-      measured.where(col("series") < FixedWindows.all.size)
-        .select(granularity.as("granularity"), col("window_id"), col("blocks")),
+      FixedWindows.all.zip(fixed).flatMap { case (g, ws) => ws.map(w => (g.name, w.window_id, w.blocks)) }
+        .toDF("granularity", "window_id", "blocks"),
       FixedWindows.all.map(g =>
         s"""SELECT '${g.name}' AS granularity, CAST(${g.column} AS BIGINT) AS window_id,
            |  COUNT(DISTINCT CAST(block_number AS BIGINT)) AS blocks FROM a GROUP BY ${g.column}""".stripMargin)
         .mkString(" UNION ALL "),
       "a" -> attrib.select("block_number", "day", "week", "month"))
-    measured.unpersist()
   }
 
   /** A SHA-256 over every window of `ws`, in order: its window id, blocks, producers and
